@@ -66,43 +66,33 @@ def _load_pair(args) -> tuple[TemporalGraph, TemporalGraph]:
     return g1, g2
 
 
-def _witness_lines(g: TemporalGraph, out: Infeasible) -> str:
-    if out.reason == "pair_counts":
-        return "infeasible\nwitness pair-counts"
-    return f"infeasible\nwitness {_edge_str(g, out.witness)}"
-
-
-def _witness_doc(g: TemporalGraph, out: Infeasible) -> dict:
-    return {
+def _emit_infeasible(args, g: TemporalGraph, out: Infeasible) -> int:
+    """Report an infeasible pair, for ``check`` and ``plan`` alike."""
+    doc = {
+        "command": args.command,
+        "feasible": False,
         "reason": out.reason,
         "witness": _edge_doc(g, out.witness) if out.witness else None,
     }
+    witness = _edge_str(g, out.witness) if out.witness else "pair-counts"
+    _emit(args, doc, f"infeasible\nwitness {witness}")
+    return 1
 
 
 def cmd_check(args) -> int:
     g1, g2 = _load_pair(args)
     ok, out = feasible(g1, g2)
-    if ok:
-        _emit(args, {"command": "check", "feasible": True, "reason": None, "witness": None}, "feasible")
-        return 0
-    _emit(
-        args,
-        {"command": "check", "feasible": False, **_witness_doc(g1, out)},
-        _witness_lines(g1, out),
-    )
-    return 1
+    if not ok:
+        return _emit_infeasible(args, g1, out)
+    _emit(args, {"command": "check", "feasible": True, "reason": None, "witness": None}, "feasible")
+    return 0
 
 
 def cmd_plan(args) -> int:
     g1, g2 = _load_pair(args)
     outcome = plan(g1, g2)
     if isinstance(outcome, Infeasible):
-        _emit(
-            args,
-            {"command": "plan", "feasible": False, **_witness_doc(g1, outcome)},
-            _witness_lines(g1, outcome),
-        )
-        return 1
+        return _emit_infeasible(args, g1, outcome)
     assert isinstance(outcome, Feasible)
     text = format_sequence(outcome.sequence, g1)
     if args.output:

@@ -8,8 +8,9 @@ operations are pure: relabeling an edge returns a new graph value.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -131,13 +132,25 @@ class TemporalGraph:
         return tuple(sorted(e.pair for e in self.edges if e.t == t))
 
     def edges_by_time(self) -> dict[int, list[tuple[int, int]]]:
-        """All snapshots at once: time -> list of static pairs."""
-        by_t: dict[int, list[tuple[int, int]]] = {
-            t: [] for t in range(1, self.lifetime + 1)
-        }
-        for e in self.edges:
-            by_t[e.t].append(e.pair)
-        return by_t
+        """All non-empty snapshots at once: time -> list of static pairs.
+        Times without edges are absent, so a long lifetime costs nothing."""
+        by_t: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
+        for u, v, t in self.edges:
+            by_t[t].append((u, v))
+        return dict(by_t)
+
+    @cached_property
+    def _disconnected_at(self) -> int | None:
+        """Earliest time whose snapshot is not connected, or None; cached on
+        the graph.  With n >= 2 an empty snapshot is disconnected, so the
+        scan stops by time M + 1."""
+        if self.n <= 1:
+            return None  # no edges, and every snapshot is connected
+        by_t = self.edges_by_time()
+        for t in range(1, self.lifetime + 1):
+            if not static_connected(self.n, by_t.get(t, ())):
+                return t
+        return None
 
     def sorted_edges(self) -> list[TemporalEdge]:
         return sorted(self.edges)
@@ -164,26 +177,26 @@ class ValidationReport:
 # Static-graph helpers shared by the temporal operations (and by the oracle,
 # which works on raw edge sets rather than TemporalGraph values).
 
-def static_connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """True iff the static graph on ``n`` vertices is connected (n <= 1: yes)."""
-    if n <= 1:
-        return True
+def _reach(n: int, pairs: Iterable[tuple[int, int]], start: int = 0) -> list[bool]:
+    """Which vertices the static graph joins to ``start``; one traversal."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
     seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
+    seen[start] = True
+    stack = [start]
     while stack:
-        x = stack.pop()
-        for y in adj[x]:
+        for y in adj[stack.pop()]:
             if not seen[y]:
                 seen[y] = True
-                count += 1
                 stack.append(y)
-    return count == n
+    return seen
+
+
+def static_connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """True iff the static graph on ``n`` vertices is connected (n <= 1: yes)."""
+    return n <= 1 or all(_reach(n, pairs))
 
 
 def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -233,8 +246,16 @@ def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, i
 
 def is_always_connected(g: TemporalGraph) -> bool:
     """True iff every snapshot of ``g`` is connected."""
-    by_t = g.edges_by_time()
-    return all(static_connected(g.n, by_t[t]) for t in range(1, g.lifetime + 1))
+    return g._disconnected_at is None
+
+
+def require_endpoints(*graphs: TemporalGraph) -> None:
+    """Raise unless the graphs share one vertex table and lifetime and each
+    is always-connected: the precondition of every reconfiguration query."""
+    for g in graphs[1:]:
+        require_compatible(graphs[0], g)
+    if not all(map(is_always_connected, set(graphs))):  # equal graphs are checked once
+        raise GraphError("endpoint graph is not always-connected")
 
 
 def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
@@ -243,38 +264,41 @@ def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     Requires an always-connected input; each snapshot is processed once in
     linear time.
     """
-    by_t = g.edges_by_time()
+    if g._disconnected_at is not None:
+        raise GraphError(f"snapshot {g._disconnected_at} is not connected")
     out: set[TemporalEdge] = set()
-    for t in range(1, g.lifetime + 1):
-        pairs = by_t[t]
-        if not static_connected(g.n, pairs):
-            raise GraphError(f"snapshot {t} is not connected")
+    for t, pairs in g.edges_by_time().items():
         for u, v in static_bridges(g.n, pairs):
             out.add(TemporalEdge(u, v, t))
     return frozenset(out)
 
 
+def _relabel_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
+    """Why ``op`` is not a valid relabel of the always-connected ``g``:
+    "malformed", "missing_edge", "collision" or "disconnects"; None when it
+    is valid.  A relabel keeps every snapshot connected exactly when it
+    moves a non-bridge to a free slot of its pair.
+    """
+    u, v = min(op.u, op.v), max(op.u, op.v)
+    times_ok = 1 <= op.from_time <= g.lifetime and 1 <= op.to_time <= g.lifetime
+    if not (0 <= u < v < g.n and times_ok) or op.from_time == op.to_time:
+        return "malformed"
+    if TemporalEdge(u, v, op.from_time) not in g.edges:
+        return "missing_edge"
+    if TemporalEdge(u, v, op.to_time) in g.edges:
+        return "collision"
+    if (u, v) in static_bridges(g.n, g.snapshot(op.from_time)):
+        return "disconnects"
+    return None
+
+
 def is_valid_relabel(g: TemporalGraph, op: RelabelOp) -> bool:
     """True iff applying ``op`` to ``g`` keeps every snapshot connected.
 
-    Assumes ``g`` is always-connected.  Equivalent characterization used
-    here: the source edge exists, the target slot is free, and the source
-    is not a bridge.  Malformed ops yield False rather than an error.
+    Assumes ``g`` is always-connected.  Malformed ops yield False rather
+    than an error.
     """
-    u, v = op.u, op.v
-    if u > v:
-        u, v = v, u
-    if u == v or u < 0 or v >= g.n:
-        return False
-    if not (1 <= op.from_time <= g.lifetime and 1 <= op.to_time <= g.lifetime):
-        return False
-    if op.from_time == op.to_time:
-        return False
-    if TemporalEdge(u, v, op.from_time) not in g.edges:
-        return False
-    if TemporalEdge(u, v, op.to_time) in g.edges:
-        return False
-    return (u, v) not in static_bridges(g.n, g.snapshot(op.from_time))
+    return _relabel_fault(g, op) is None
 
 
 def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
@@ -307,32 +331,12 @@ def validate_sequence(
     All failures are reported, never raised: the report carries the first
     failing step index and the failure kind.
     """
-    require_compatible(g1, g2)
-    for g in (g1, g2):
-        if not is_always_connected(g):
-            raise GraphError("endpoint graph is not always-connected")
+    require_endpoints(g1, g2)
     cur = g1
     for i, op in enumerate(seq):
-        u, v = op.u, op.v
-        if u > v:
-            u, v = v, u
-        malformed = (
-            u == v
-            or u < 0
-            or v >= cur.n
-            or not (1 <= op.from_time <= cur.lifetime)
-            or not (1 <= op.to_time <= cur.lifetime)
-            or op.from_time == op.to_time
-        )
-        if malformed:
-            return ValidationReport(False, len(seq), i, "malformed", False)
-        src = TemporalEdge(u, v, op.from_time)
-        if src not in cur.edges:
-            return ValidationReport(False, len(seq), i, "missing_edge", False)
-        if TemporalEdge(u, v, op.to_time) in cur.edges:
-            return ValidationReport(False, len(seq), i, "collision", False)
-        if (u, v) in static_bridges(cur.n, cur.snapshot(op.from_time)):
-            return ValidationReport(False, len(seq), i, "disconnects", False)
+        fault = _relabel_fault(cur, op)
+        if fault is not None:
+            return ValidationReport(False, len(seq), i, fault, False)
         cur = apply_relabel(cur, op)
     final_matches = cur == g2
     return ValidationReport(final_matches, len(seq), None, None, final_matches)

@@ -15,14 +15,14 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     GraphError,
     RelabelOp,
     TemporalEdge,
     TemporalGraph,
-    is_always_connected,
-    require_compatible,
+    require_endpoints,
     static_bridges,
 )
 
@@ -74,10 +74,42 @@ def _moves(n: int, lifetime: int, state: frozenset[TemporalEdge]):
             yield RelabelOp(e.u, e.v, e.t, t2), state - {e} | {TemporalEdge(e.u, e.v, t2)}
 
 
-def _require_start(g: TemporalGraph) -> frozenset[TemporalEdge]:
-    if not is_always_connected(g):
-        raise GraphError("oracle requires an always-connected start graph")
-    return g.edges
+def _bfs(
+    g: TemporalGraph, budget: OracleBudget, goal: Callable[[frozenset, int], bool]
+) -> tuple[str, tuple[RelabelOp, ...] | None]:
+    """Breadth-first search over the graphs reachable from ``g``.
+
+    ``goal(state, depth)`` is called once on every state when it is first
+    discovered, the start included; the search stops at the first state it
+    accepts.  Returns ``("found", ops)`` with a shortest sequence to that
+    state, ``("budget", None)`` when ``max_states`` or ``max_depth`` cut the
+    search short, or ``("exhausted", None)``.
+    """
+    start = g.edges
+    if goal(start, 0):
+        return "found", ()
+    parents: dict[frozenset, tuple[RelabelOp, frozenset] | None] = {start: None}
+    queue: deque[tuple[frozenset, int]] = deque([(start, 0)])
+    depth_capped = False
+    while queue:
+        state, depth = queue.popleft()
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            depth_capped = True
+            continue
+        for op, nxt in _moves(g.n, g.lifetime, state):
+            if nxt in parents:
+                continue
+            if goal(nxt, depth + 1):
+                ops = [op]
+                while parents[state] is not None:
+                    op, state = parents[state]
+                    ops.append(op)
+                return "found", tuple(reversed(ops))
+            if len(parents) >= budget.max_states:
+                return "budget", None
+            parents[nxt] = (op, state)
+            queue.append((nxt, depth + 1))
+    return ("budget" if depth_capped else "exhausted"), None
 
 
 def oracle_shortest_sequence(
@@ -89,44 +121,10 @@ def oracle_shortest_sequence(
     enumerated within budget.  The moment a cap bites, minimality of any
     later find would be unprovable, so the search stops with "budget".
     """
-    require_compatible(g1, g2)
-    start = _require_start(g1)
-    goal = _require_start(g2)
-    if start == goal:
-        return SearchOutcome("found", ())
-    parents: dict[frozenset, tuple[RelabelOp, frozenset] | None] = {start: None}
-    queue: deque[tuple[frozenset, int]] = deque([(start, 0)])
-    depth_capped = False
-    while queue:
-        state, depth = queue.popleft()
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            depth_capped = True
-            continue
-        for op, nxt in _moves(g1.n, g1.lifetime, state):
-            if nxt in parents:
-                continue
-            if nxt == goal:
-                ops = [op]
-                cur = state
-                while parents[cur] is not None:
-                    op_, prev = parents[cur]
-                    ops.append(op_)
-                    cur = prev
-                return SearchOutcome("found", tuple(reversed(ops)))
-            if len(parents) >= budget.max_states:
-                return SearchOutcome("budget")
-            parents[nxt] = (op, state)
-            queue.append((nxt, depth + 1))
-    return SearchOutcome("budget" if depth_capped else "unreachable")
-
-
-def _nonbridge_slot(
-    n: int, lifetime: int, state: frozenset[TemporalEdge], target: TemporalEdge
-) -> bool:
-    if target not in state:
-        return False
-    pairs = [e.pair for e in state if e.t == target.t]
-    return target.pair not in static_bridges(n, pairs)
+    require_endpoints(g1, g2)
+    goal = g2.edges
+    status, ops = _bfs(g1, budget, lambda state, _: state == goal)
+    return SearchOutcome("unreachable" if status == "exhausted" else status, ops)
 
 
 def oracle_min_steps_to_nonbridge(
@@ -139,27 +137,19 @@ def oracle_min_steps_to_nonbridge(
     search keeps going through them.
     """
     target = TemporalEdge(*target)
-    start = _require_start(g)
-    if target not in start:
+    require_endpoints(g)
+    if target not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {target!r}")
-    seen: set[frozenset] = {start}
-    queue: deque[tuple[frozenset, int]] = deque([(start, 0)])
-    depth_capped = False
-    while queue:
-        state, depth = queue.popleft()
-        if _nonbridge_slot(g.n, g.lifetime, state, target):
-            return MinStepsOutcome("steps", depth)
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            depth_capped = True
-            continue
-        for _, nxt in _moves(g.n, g.lifetime, state):
-            if nxt in seen:
-                continue
-            if len(seen) >= budget.max_states:
-                return MinStepsOutcome("budget")
-            seen.add(nxt)
-            queue.append((nxt, depth + 1))
-    return MinStepsOutcome("budget" if depth_capped else "never")
+
+    def nonbridge(state, _):
+        return target in state and target.pair not in static_bridges(
+            g.n, [e.pair for e in state if e.t == target.t]
+        )
+
+    status, ops = _bfs(g, budget, nonbridge)
+    if status == "found":
+        return MinStepsOutcome("steps", len(ops))
+    return MinStepsOutcome("never" if status == "exhausted" else status)
 
 
 def oracle_min_steps_map(
@@ -171,34 +161,18 @@ def oracle_min_steps_map(
     a slot missing from the map is never a non-bridge in any reachable
     graph.  Cheaper than one single-target search per edge.
     """
-    start = _require_start(g)
+    require_endpoints(g)
     first: dict[TemporalEdge, int] = {}
-    seen: set[frozenset] = {start}
-    queue: deque[tuple[frozenset, int]] = deque([(start, 0)])
-    depth_capped = False
-    while queue:
-        state, depth = queue.popleft()
+
+    def record(state, depth):
         bridges = _snapshot_bridge_sets(g.n, g.lifetime, state)
         for e in state:
             if e not in first and e.pair not in bridges[e.t]:
                 first[e] = depth
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            depth_capped = True
-            continue
-        for e in sorted(state):
-            if e.pair in bridges[e.t]:
-                continue
-            for t2 in range(1, g.lifetime + 1):
-                if t2 == e.t or TemporalEdge(e.u, e.v, t2) in state:
-                    continue
-                nxt = state - {e} | {TemporalEdge(e.u, e.v, t2)}
-                if nxt in seen:
-                    continue
-                if len(seen) >= budget.max_states:
-                    return first, False
-                seen.add(nxt)
-                queue.append((nxt, depth + 1))
-    return first, not depth_capped
+        return False
+
+    status, _ = _bfs(g, budget, record)
+    return first, status == "exhausted"
 
 
 def _random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:

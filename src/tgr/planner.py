@@ -25,7 +25,7 @@ from .core import (
     TemporalGraph,
     apply_relabel,
     check_pair_counts,
-    require_compatible,
+    require_endpoints,
 )
 from .changeability import ChangeTable, classify, sequence_to_nonbridge
 
@@ -54,10 +54,38 @@ class UnchangeableEdgeError(GraphError):
         self.witness = witness
 
 
-def _phase_ops(
+def _diff_table(
+    g1: TemporalGraph, g2: TemporalGraph
+) -> tuple[list[TemporalEdge], ChangeTable | None] | Infeasible:
+    """The edges of g1 missing from g2 with g1's level table (None when none
+    differ), or the first differing edge that is unchangeable."""
+    diff = sorted(g1.edges - g2.edges)
+    if not diff:
+        return diff, None
+    table = classify(g1)
+    for e in diff:
+        if table.levels.get(e) is None:
+            return Infeasible("unchangeable", e)
+    return diff, table
+
+
+def _first_phase(
+    g1: TemporalGraph, g2: TemporalGraph
+) -> tuple[list[TemporalEdge], ChangeTable | None] | Infeasible:
+    """The decision: endpoint precondition, per-pair label counts, then
+    ``_diff_table``.  Reconfiguration is possible exactly when this returns
+    no ``Infeasible``."""
+    require_endpoints(g1, g2)
+    if not check_pair_counts(g1, g2):
+        return Infeasible("pair_counts", None)
+    return _diff_table(g1, g2)
+
+
+def _phase(
     g1: TemporalGraph, g2: TemporalGraph, table: ChangeTable, diff: list[TemporalEdge]
-) -> tuple[list[RelabelOp], list[RelabelOp]]:
-    """One difference-reducing phase; returns (ops for g1, ops for g2).
+) -> tuple[list[RelabelOp], list[RelabelOp], TemporalGraph, TemporalGraph]:
+    """One difference-reducing phase: the ops for g1 and for g2, and the two
+    graphs after them.
 
     An op is mirrored onto g2 only when its target slot is free there.  If
     the slot is occupied, g2 already has that pair where the op wants it,
@@ -75,16 +103,11 @@ def _phase_ops(
             continue
         ops2.append(op)
         h2 = apply_relabel(h2, op)
-    slots = [
-        t
-        for t in range(1, g1.lifetime + 1)
-        if TemporalEdge(target.u, target.v, t) in h2.edges
-        and TemporalEdge(target.u, target.v, t) not in h1.edges
-    ]
+    slots = [e.t for e in h2.edges - h1.edges if e.pair == target.pair]
     if not slots:
         raise GraphError("no free target slot for differing edge")  # pair counts guarantee one
     final = RelabelOp(target.u, target.v, target.t, min(slots))
-    return ops + [final], ops2
+    return ops + [final], ops2, apply_relabel(h1, final), h2
 
 
 def decrease_difference(
@@ -95,19 +118,19 @@ def decrease_difference(
     The g1 sequence carries the enabling ops plus the final move of the
     differing edge; the g2 sequence carries the enabling ops that are
     applicable on g2 (see the module notes on skipped ops).  Both are valid
-    on their own graph.  Requires a positive difference, matching pair
-    counts, and every differing edge changeable.
+    on their own graph.  This is the first phase of ``plan``.  Requires a
+    positive difference, matching pair counts, and every differing edge
+    changeable.
     """
-    if not check_pair_counts(g1, g2):
-        raise GraphError("per-pair label counts differ")
-    diff = sorted(g1.edges - g2.edges)
+    step = _first_phase(g1, g2)
+    if isinstance(step, Infeasible):
+        if step.witness is None:
+            raise GraphError("per-pair label counts differ")
+        raise UnchangeableEdgeError(step.witness)
+    diff, table = step
     if not diff:
         raise GraphError("graphs are already equal")
-    table = classify(g1)
-    for e in diff:
-        if table.levels.get(e) is None:
-            raise UnchangeableEdgeError(e)
-    return _phase_ops(g1, g2, table, diff)
+    return _phase(g1, g2, table, diff)[:2]
 
 
 def feasible(
@@ -118,17 +141,8 @@ def feasible(
     Reconfiguration is possible exactly when every edge of g1 missing from
     g2 is changeable (and the per-pair label counts agree).
     """
-    require_compatible(g1, g2)
-    if not check_pair_counts(g1, g2):
-        return False, Infeasible("pair_counts", None)
-    diff = sorted(g1.edges - g2.edges)
-    if not diff:
-        return True, None
-    table = classify(g1)
-    for e in diff:
-        if table.levels.get(e) is None:
-            return False, Infeasible("unchangeable", e)
-    return True, None
+    step = _first_phase(g1, g2)
+    return (False, step) if isinstance(step, Infeasible) else (True, None)
 
 
 def plan(g1: TemporalGraph, g2: TemporalGraph) -> PlanOutcome:
@@ -140,33 +154,25 @@ def plan(g1: TemporalGraph, g2: TemporalGraph) -> PlanOutcome:
     phase would contradict the construction, so it raises instead of
     returning Infeasible.
     """
-    require_compatible(g1, g2)
-    if not check_pair_counts(g1, g2):
-        return Infeasible("pair_counts", None)
+    step = _first_phase(g1, g2)
+    if isinstance(step, Infeasible):
+        return step
+    diff, table = step
     seq1: list[RelabelOp] = []
     seq2: list[RelabelOp] = []
     cur1, cur2 = g1, g2
     phases = 0
-    while True:
-        diff = sorted(cur1.edges - cur2.edges)
-        if not diff:
-            break
-        table = classify(cur1)
-        for e in diff:
-            if table.levels.get(e) is None:
-                if phases == 0:
-                    return Infeasible("unchangeable", e)
-                raise GraphError(
-                    f"differing edge became unchangeable mid-plan: {e!r}"
-                )
-        ops1, ops2 = _phase_ops(cur1, cur2, table, diff)
-        for op in ops1:
-            cur1 = apply_relabel(cur1, op)
-        for op in ops2:
-            cur2 = apply_relabel(cur2, op)
+    while diff:
+        ops1, ops2, cur1, cur2 = _phase(cur1, cur2, table, diff)
         seq1.extend(ops1)
         seq2.extend(ops2)
         phases += 1
+        step = _diff_table(cur1, cur2)
+        if isinstance(step, Infeasible):
+            raise GraphError(
+                f"differing edge became unchangeable mid-plan: {step.witness!r}"
+            )
+        diff, table = step
     if cur1 != cur2:
         raise GraphError("plan did not converge to a common graph")
     sequence = tuple(seq1 + [op.inverse() for op in reversed(seq2)])

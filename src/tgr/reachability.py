@@ -10,9 +10,10 @@ consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping
 
-from .core import GraphError, TemporalEdge, TemporalGraph, find_bridges
+from .core import GraphError, TemporalEdge, TemporalGraph, _reach, find_bridges
 
 CrossMap = Mapping[TemporalEdge, tuple[TemporalEdge, ...]]
 
@@ -26,24 +27,6 @@ class ReachabilityPartition:
     comp_v: frozenset[int]
 
 
-def _reach(n: int, pairs, skip: tuple[int, int], start: int) -> set[int]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        if (u, v) == skip:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def reachability_partition(g: TemporalGraph, bridge: TemporalEdge) -> ReachabilityPartition:
     """Partition of the vertices by the two sides of ``bridge``.
 
@@ -53,12 +36,15 @@ def reachability_partition(g: TemporalGraph, bridge: TemporalEdge) -> Reachabili
     bridge = TemporalEdge(*bridge)
     if bridge not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {bridge!r}")
-    pairs = g.snapshot(bridge.t)
-    comp_u = _reach(g.n, pairs, bridge.pair, bridge.u)
-    comp_v = _reach(g.n, pairs, bridge.pair, bridge.v)
-    if bridge.v in comp_u:
+    pairs = list(g.snapshot(bridge.t))
+    pairs.remove(bridge.pair)
+    side_u = _reach(g.n, pairs, bridge.u)
+    if side_u[bridge.v]:
         raise GraphError(f"not a bridge: {bridge!r}")
-    return ReachabilityPartition(bridge, frozenset(comp_u), frozenset(comp_v))
+    side_v = _reach(g.n, pairs, bridge.v)
+    return ReachabilityPartition(
+        bridge, frozenset(compress(range(g.n), side_u)), frozenset(compress(range(g.n), side_v))
+    )
 
 
 def is_crossing(p: ReachabilityPartition, pair: tuple[int, int]) -> bool:
@@ -81,13 +67,12 @@ def compute_cross(g: TemporalGraph, counters: dict | None = None) -> dict[Tempor
     by_t = g.edges_by_time()
     partition_visits = 0
     crossing_tests = 0
-    side = [False] * g.n
     for bridge in bridges:
         # mark one side of the partition; the other side is its complement
-        reached = _reach(g.n, by_t[bridge.t], bridge.pair, bridge.u)
-        partition_visits += len(reached)
-        for i in range(g.n):
-            side[i] = i in reached
+        pairs = by_t[bridge.t].copy()
+        pairs.remove(bridge.pair)
+        side = _reach(g.n, pairs, bridge.u)
+        partition_visits += sum(side)
         for e in edge_list:
             crossing_tests += 1
             if side[e.u] != side[e.v] and e != bridge:

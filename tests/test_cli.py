@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -193,3 +194,37 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "tgr 0.1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check", "plan", "validate", "oracle"])
+def test_disconnected_endpoint_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "d.tg"
+    path.write_text("tg 1\nt 2\nv a\nv b\ne a b 1\n")  # snapshot 2 is empty
+    seq = tmp_path / "s.tgs"
+    seq.write_text("tgs 1\n")
+    argv = [command, "--g1", str(path), "--g2", str(path)]
+    if command == "validate":
+        argv += ["--seq", str(seq)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tgr: ") and "not always-connected" in captured.err
+
+
+@pytest.mark.parametrize("command", ["classify", "check", "plan"])
+@pytest.mark.parametrize(
+    "text, code",
+    [("tg 1\nt 100000\nv a\nv b\ne a b 1\n", 2), ("tg 1\nt 100000\nv a\n", 0)],
+    ids=["two-vertices", "one-vertex"],
+)
+def test_long_lifetime_is_decided_in_edge_count_memory(tmp_path, capsys, command, text, code):
+    path = tmp_path / "long.tg"
+    path.write_text(text)
+    argv = [command, "--g", str(path)] if command == "classify" else [command, "--g1", str(path), "--g2", str(path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak {peak} bytes"

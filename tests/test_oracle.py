@@ -4,6 +4,7 @@ import pytest
 
 from tgr import (
     GraphError,
+    MinStepsOutcome,
     OracleBudget,
     canonical_state,
     generate_random_instance,
@@ -86,6 +87,18 @@ def test_budget_exceeded_is_distinct(tri, chain2):
     g1, _ = tri
     first, exhausted = oracle_min_steps_map(g1, OracleBudget(max_states=1))
     assert not exhausted
+
+
+def test_depth_cap_on_chain2(chain2):
+    target = te(chain2, "a", "d", 1)
+    capped = oracle_min_steps_to_nonbridge(chain2, target, OracleBudget(max_depth=1))
+    assert capped == MinStepsOutcome("budget")
+    deep = oracle_min_steps_to_nonbridge(chain2, target, OracleBudget(max_depth=2))
+    assert deep == MinStepsOutcome("steps", 2)
+    first, exhausted = oracle_min_steps_map(chain2, OracleBudget(max_depth=1))
+    assert target not in first and not exhausted and len(first) == 8
+    first, exhausted = oracle_min_steps_map(chain2, OracleBudget(max_depth=2))
+    assert first[target] == 2 and not exhausted and len(first) == 10
 
 
 def test_budget_must_be_positive():

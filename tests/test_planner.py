@@ -6,12 +6,14 @@ from tgr import (
     Feasible,
     GraphError,
     Infeasible,
+    TemporalEdge,
     TemporalGraph,
     UnchangeableEdgeError,
     apply_relabel,
     decrease_difference,
     difference,
     feasible,
+    is_always_connected,
     plan,
     validate_sequence,
 )
@@ -186,3 +188,22 @@ def test_plan_requires_same_vertex_table(tri):
     other = TemporalGraph.build("ab", 2, [("a", "b", 1), ("a", "b", 2)])
     with pytest.raises(GraphError):
         plan(g1, other)
+
+
+@pytest.mark.parametrize("seed", [12, 17, 24, 50])
+def test_target_not_always_connected_is_rejected(seed):
+    # same per-pair label counts as g1 and every differing edge changeable,
+    # but some snapshot of g2 is disconnected, so no valid sequence ends there
+    g1 = helpers.small_instance(seed)
+    rng = random.Random(seed)
+    while True:
+        g2 = g1.with_edges(
+            TemporalEdge(u, v, t)
+            for (u, v), count in sorted(g1.pair_counts().items())
+            for t in rng.sample(range(1, g1.lifetime + 1), count)
+        )
+        if not is_always_connected(g2):
+            break
+    for query in (feasible, plan, decrease_difference):
+        with pytest.raises(GraphError, match="not always-connected"):
+            query(g1, g2)
