@@ -36,6 +36,7 @@ from .formats import (
     load_temporal_graph,
     parse_edge_list,
     parse_vc,
+    read_text,
     save_sequence,
     save_temporal_graph,
 )
@@ -236,9 +237,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_reduce_vc(args) -> int:
-    edges = parse_edge_list(
-        Path(args.graph).read_text(encoding="utf-8"), args.graph
-    )
+    edges = parse_edge_list(read_text(args.graph), args.graph)
     vertices = sorted({x for e in edges for x in e})
     inst = VCInstance.build(vertices, edges, args.k)
     red = build_reduction(inst)
@@ -262,9 +261,8 @@ def cmd_reduce_vc(args) -> int:
 
 
 def cmd_cover_seq(args) -> int:
-    names, edges, k = parse_vc(
-        Path(f"{args.prefix}.vc").read_text(encoding="utf-8"), f"{args.prefix}.vc"
-    )
+    path = f"{args.prefix}.vc"
+    names, edges, k = parse_vc(read_text(path), path)
     inst = VCInstance.build(names, edges, k)
     red = build_reduction(inst)
     cover = [c for c in (x.strip() for x in args.cover.split(",")) if c]

@@ -89,8 +89,6 @@ class TemporalGraph:
         """Construct from named edges; rejects self-loops and duplicates."""
         names = tuple(names)
         index = {name: i for i, name in enumerate(names)}
-        if len(index) != len(names):
-            raise GraphError("duplicate vertex names")
         out: set[TemporalEdge] = set()
         for uname, vname, t in edges:
             if uname not in index:
@@ -116,10 +114,15 @@ class TemporalGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Name -> vertex index; cached on the graph."""
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise GraphError(f"unknown vertex name {name!r}") from None
 
     def name(self, i: int) -> str:
@@ -151,6 +154,16 @@ class TemporalGraph:
             if not static_connected(self.n, by_t.get(t, ())):
                 return t
         return None
+
+    @cached_property
+    def _bridges(self) -> frozenset[TemporalEdge]:
+        """Bridges of every non-empty snapshot, one lowlink pass each;
+        cached on the graph.  Meaningful only when always-connected."""
+        return frozenset(
+            TemporalEdge(u, v, t)
+            for t, pairs in self.edges_by_time().items()
+            for u, v in static_bridges(self.n, pairs)
+        )
 
     def sorted_edges(self) -> list[TemporalEdge]:
         return sorted(self.edges)
@@ -262,15 +275,11 @@ def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     """All temporal edges whose removal disconnects their snapshot.
 
     Requires an always-connected input; each snapshot is processed once in
-    linear time.
+    linear time, the first time a graph is asked.
     """
     if g._disconnected_at is not None:
         raise GraphError(f"snapshot {g._disconnected_at} is not connected")
-    out: set[TemporalEdge] = set()
-    for t, pairs in g.edges_by_time().items():
-        for u, v in static_bridges(g.n, pairs):
-            out.add(TemporalEdge(u, v, t))
-    return frozenset(out)
+    return g._bridges
 
 
 def _relabel_fault(g: TemporalGraph, op: RelabelOp) -> str | None:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .core import GraphError, RelabelOp, TemporalGraph
+from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph
 
 TG_VERSION = 1
 TGS_VERSION = 1
@@ -42,38 +42,80 @@ def _int(source: str, no: int, token: str, what: str) -> int:
         raise ParseError(source, no, f"{what} must be an integer, got {token!r}") from None
 
 
+def _body(text: str, source: str, kind: str, version: int):
+    """The lines after the '<kind> <version>' header, which must come first."""
+    lines = _lines(text)
+    for no, tokens in lines:
+        if tokens != [kind, str(version)]:
+            raise ParseError(source, no, f"expected header '{kind} {version}'")
+        return lines
+    raise ParseError(source, 1, f"missing header '{kind} {version}'")
+
+
+def _once_int(source: str, no: int, tokens, current, usage: str, what: str, least: int) -> int:
+    """The value of a '<letter> <integer>' directive that may appear once;
+    ``current`` is its earlier value, or None."""
+    if current is not None:
+        raise ParseError(source, no, f"duplicate {tokens[0]!r} directive")
+    if len(tokens) != 2:
+        raise ParseError(source, no, f"expected {usage!r}")
+    value = _int(source, no, tokens[1], what)
+    if value < least:
+        bound = f"at least {least}" if least else "non-negative"
+        raise ParseError(source, no, f"{what} must be {bound}")
+    return value
+
+
+def _declare(source: str, no: int, tokens, index: dict[str, int]) -> None:
+    """A 'v <name>' line: give the new name the next index."""
+    if len(tokens) != 2:
+        raise ParseError(source, no, "expected 'v <name>'")
+    name = _check_name(source, no, tokens[1])
+    if name in index:
+        raise ParseError(source, no, f"duplicate vertex name {name!r}")
+    index[name] = len(index)
+
+
+def _lookup(source: str, no: int, index: dict[str, int], name: str) -> int:
+    try:
+        return index[name]
+    except KeyError:
+        raise ParseError(source, no, f"undeclared vertex name {name!r}") from None
+
+
+def _add_edge(source: str, no: int, u: str, v: str, edges: dict[tuple[str, str], None]) -> None:
+    """An unordered edge: no self-loop, no repeat; ``edges`` keeps line order."""
+    u, v = _check_name(source, no, u), _check_name(source, no, v)
+    if u == v:
+        raise ParseError(source, no, f"self-loop on {u!r}")
+    key = (min(u, v), max(u, v))
+    if key in edges:
+        raise ParseError(source, no, f"duplicate edge {u} {v}")
+    edges[key] = None
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of an input file; undecodable bytes are a ParseError
+    on the line of the first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as _lines does: the bad byte starts the last line
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(str(path), line, "not UTF-8 text") from None
+
+
 def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
-    header_seen = False
     lifetime: int | None = None
-    names: list[str] = []
     index: dict[str, int] = {}
-    edges: list[tuple[str, str, int]] = []
-    seen: set[tuple[int, int, int]] = set()
-    for no, tokens in _lines(text):
-        if not header_seen:
-            if tokens != ["tg", str(TG_VERSION)]:
-                raise ParseError(source, no, f"expected header 'tg {TG_VERSION}'")
-            header_seen = True
-            continue
+    edges: set[TemporalEdge] = set()
+    for no, tokens in _body(text, source, "tg", TG_VERSION):
         directive = tokens[0]
         if directive == "t":
-            if lifetime is not None:
-                raise ParseError(source, no, "duplicate 't' directive")
-            if edges:
-                raise ParseError(source, no, "'t' must come before edges")
-            if len(tokens) != 2:
-                raise ParseError(source, no, "expected 't <lifetime>'")
-            lifetime = _int(source, no, tokens[1], "lifetime")
-            if lifetime < 1:
-                raise ParseError(source, no, "lifetime must be at least 1")
+            lifetime = _once_int(source, no, tokens, lifetime, "t <lifetime>", "lifetime", 1)
         elif directive == "v":
-            if len(tokens) != 2:
-                raise ParseError(source, no, "expected 'v <name>'")
-            name = _check_name(source, no, tokens[1])
-            if name in index:
-                raise ParseError(source, no, f"duplicate vertex name {name!r}")
-            index[name] = len(names)
-            names.append(name)
+            _declare(source, no, tokens, index)
         elif directive == "e":
             if len(tokens) != 4:
                 raise ParseError(source, no, "expected 'e <u> <v> <t>'")
@@ -81,25 +123,20 @@ def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
                 raise ParseError(source, no, "edge before 't' directive")
             uname, vname = tokens[1], tokens[2]
             t = _int(source, no, tokens[3], "edge time")
-            for nm in (uname, vname):
-                if nm not in index:
-                    raise ParseError(source, no, f"undeclared vertex name {nm!r}")
-            if uname == vname:
+            u, v = sorted(_lookup(source, no, index, nm) for nm in (uname, vname))
+            if u == v:
                 raise ParseError(source, no, f"self-loop on {uname!r}")
             if not 1 <= t <= lifetime:
                 raise ParseError(source, no, f"edge time {t} outside 1..{lifetime}")
-            u, v = sorted((index[uname], index[vname]))
-            if (u, v, t) in seen:
+            e = TemporalEdge(u, v, t)
+            if e in edges:
                 raise ParseError(source, no, f"duplicate temporal edge {uname} {vname} {t}")
-            seen.add((u, v, t))
-            edges.append((uname, vname, t))
+            edges.add(e)
         else:
             raise ParseError(source, no, f"unknown directive {directive!r}")
-    if not header_seen:
-        raise ParseError(source, 1, f"missing header 'tg {TG_VERSION}'")
     if lifetime is None:
         raise ParseError(source, 1, "missing 't' directive")
-    return TemporalGraph.build(names, lifetime, edges)
+    return TemporalGraph(tuple(index), lifetime, edges)
 
 
 def format_temporal_graph(g: TemporalGraph) -> str:
@@ -113,7 +150,7 @@ def format_temporal_graph(g: TemporalGraph) -> str:
 
 def load_temporal_graph(path: str | Path) -> TemporalGraph:
     path = Path(path)
-    return parse_temporal_graph(path.read_text(encoding="utf-8"), str(path))
+    return parse_temporal_graph(read_text(path), str(path))
 
 
 def save_temporal_graph(g: TemporalGraph, path: str | Path) -> None:
@@ -122,14 +159,8 @@ def save_temporal_graph(g: TemporalGraph, path: str | Path) -> None:
 
 def parse_sequence(text: str, g: TemporalGraph, source: str = "<string>") -> list[RelabelOp]:
     """Parse a .tgs file; vertex names are resolved against ``g``."""
-    header_seen = False
     ops: list[RelabelOp] = []
-    for no, tokens in _lines(text):
-        if not header_seen:
-            if tokens != ["tgs", str(TGS_VERSION)]:
-                raise ParseError(source, no, f"expected header 'tgs {TGS_VERSION}'")
-            header_seen = True
-            continue
+    for no, tokens in _body(text, source, "tgs", TGS_VERSION):
         if tokens[0] != "r" or len(tokens) != 5:
             raise ParseError(source, no, "expected 'r <u> <v> <t_from> <t_to>'")
         uname, vname = tokens[1], tokens[2]
@@ -149,8 +180,6 @@ def parse_sequence(text: str, g: TemporalGraph, source: str = "<string>") -> lis
         if u > v:
             u, v = v, u
         ops.append(RelabelOp(u, v, t_from, t_to))
-    if not header_seen:
-        raise ParseError(source, 1, f"missing header 'tgs {TGS_VERSION}'")
     return ops
 
 
@@ -164,7 +193,7 @@ def format_sequence(ops, g: TemporalGraph) -> str:
 
 def load_sequence(path: str | Path, g: TemporalGraph) -> list[RelabelOp]:
     path = Path(path)
-    return parse_sequence(path.read_text(encoding="utf-8"), g, str(path))
+    return parse_sequence(read_text(path), g, str(path))
 
 
 def save_sequence(ops, g: TemporalGraph, path: str | Path) -> None:
@@ -173,21 +202,12 @@ def save_sequence(ops, g: TemporalGraph, path: str | Path) -> None:
 
 def parse_edge_list(text: str, source: str = "<string>") -> list[tuple[str, str]]:
     """Bare edge list: one 'u v' pair per line, '#' comments."""
-    edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    edges: dict[tuple[str, str], None] = {}
     for no, tokens in _lines(text):
         if len(tokens) != 2:
             raise ParseError(source, no, "expected '<u> <v>'")
-        u = _check_name(source, no, tokens[0])
-        v = _check_name(source, no, tokens[1])
-        if u == v:
-            raise ParseError(source, no, f"self-loop on {u!r}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(source, no, f"duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append(key)
-    return edges
+        _add_edge(source, no, tokens[0], tokens[1], edges)
+    return list(edges)
 
 
 def parse_vc(text: str, source: str = "<string>"):
@@ -195,56 +215,27 @@ def parse_vc(text: str, source: str = "<string>"):
 
     Returns ``(vertices, edges, k)``.
     """
-    header_seen = False
     k: int | None = None
-    names: list[str] = []
-    declared: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for no, tokens in _lines(text):
-        if not header_seen:
-            if tokens != ["vc", str(VC_VERSION)]:
-                raise ParseError(source, no, f"expected header 'vc {VC_VERSION}'")
-            header_seen = True
-            continue
+    index: dict[str, int] = {}
+    edges: dict[tuple[str, str], None] = {}
+    for no, tokens in _body(text, source, "vc", VC_VERSION):
         directive = tokens[0]
         if directive == "k":
-            if k is not None:
-                raise ParseError(source, no, "duplicate 'k' directive")
-            if len(tokens) != 2:
-                raise ParseError(source, no, "expected 'k <budget>'")
-            k = _int(source, no, tokens[1], "cover budget")
-            if k < 0:
-                raise ParseError(source, no, "cover budget must be non-negative")
+            k = _once_int(source, no, tokens, k, "k <budget>", "cover budget", 0)
         elif directive == "v":
-            if len(tokens) != 2:
-                raise ParseError(source, no, "expected 'v <name>'")
-            name = _check_name(source, no, tokens[1])
-            if name in declared:
-                raise ParseError(source, no, f"duplicate vertex name {name!r}")
-            declared.add(name)
-            names.append(name)
+            _declare(source, no, tokens, index)
         elif directive == "e":
             if len(tokens) != 3:
                 raise ParseError(source, no, "expected 'e <u> <v>'")
             u, v = tokens[1], tokens[2]
             for nm in (u, v):
-                if nm not in declared:
-                    raise ParseError(source, no, f"undeclared vertex name {nm!r}")
-            if u == v:
-                raise ParseError(source, no, f"self-loop on {u!r}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(source, no, f"duplicate edge {u} {v}")
-            seen.add(key)
-            edges.append(key)
+                _lookup(source, no, index, nm)
+            _add_edge(source, no, u, v, edges)
         else:
             raise ParseError(source, no, f"unknown directive {directive!r}")
-    if not header_seen:
-        raise ParseError(source, 1, f"missing header 'vc {VC_VERSION}'")
     if k is None:
         raise ParseError(source, 1, "missing 'k' directive")
-    return names, edges, k
+    return list(index), list(edges), k
 
 
 def format_vc(vertices, edges, k: int) -> str:

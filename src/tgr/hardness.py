@@ -182,10 +182,8 @@ def cover_to_sequence(red: ReductionOutput, cover: Iterable[str]) -> list[Relabe
         if u not in cover_set and v not in cover_set:
             raise GraphError(f"not a vertex cover: edge {u} {v} uncovered")
 
-    index = {name: i for i, name in enumerate(red.g1.names)}
-
     def flip(a: str, b: str, t_from: int, t_to: int) -> RelabelOp:
-        i, j = index[a], index[b]
+        i, j = red.g1.index(a), red.g1.index(b)
         if i > j:
             i, j = j, i
         return RelabelOp(i, j, t_from, t_to)

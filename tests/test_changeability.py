@@ -2,14 +2,17 @@ import pytest
 
 from tgr import (
     GraphError,
+    TemporalGraph,
     apply_relabel,
     classify,
     compute_change_table,
     compute_cross,
     find_bridges,
+    generate_random_instance,
     oracle_min_steps_to_nonbridge,
     sequence_to_nonbridge,
 )
+from tgr import core
 from tgr.core import is_valid_relabel
 
 import helpers
@@ -149,3 +152,25 @@ def test_levels_match_oracle_small():
 def test_classify_is_compose_of_cross_and_table(chain2):
     table = compute_change_table(chain2, compute_cross(chain2))
     assert table == classify(chain2)
+
+
+def test_classify_computes_each_snapshot_bridges_once(monkeypatch):
+    g = generate_random_instance(8, 4, 2, 3)
+    real = core.static_bridges
+    calls = []
+
+    def counting(n, pairs):
+        calls.append(n)
+        return real(n, pairs)
+
+    monkeypatch.setattr(core, "static_bridges", counting)
+    table = classify(g)
+    assert len(calls) == len(g.edges_by_time())
+    assert table == compute_change_table(g, compute_cross(g))  # served from the cache
+    assert len(calls) == len(g.edges_by_time())
+
+
+def test_change_table_rejects_disconnected_graph():
+    g = TemporalGraph.build("abc", 1, [("a", "b", 1)])
+    with pytest.raises(GraphError):
+        compute_change_table(g, {})

@@ -166,6 +166,23 @@ def test_parse_error_exit_and_stderr(tmp_path, capsys):
     assert "bad.tg:4" in err and "undeclared" in err
 
 
+@pytest.mark.parametrize("command", ["check", "validate", "classify", "reduce-vc", "cover-seq"])
+def test_undecodable_input_exits_2_with_line(tri_files, tmp_path, capsys, command):
+    bad = tmp_path / "bad.vc"  # cover-seq reads <prefix>.vc
+    bad.write_bytes(b"# first\n\n\xff\n")
+    argv = {
+        "check": ["check", "--g1", str(bad), "--g2", tri_files[1]],
+        "validate": ["validate", "--g1", tri_files[0], "--g2", tri_files[1], "--seq", str(bad)],
+        "classify": ["classify", "--g", str(bad)],
+        "reduce-vc": ["reduce-vc", "--graph", str(bad), "--k", "1", "--out-prefix", str(tmp_path / "red")],
+        "cover-seq": ["cover-seq", "--prefix", str(tmp_path / "bad"), "--cover", "u", "-o", str(tmp_path / "s.tgs")],
+    }[command]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{bad}:3: not UTF-8 text" in err
+
+
 def test_missing_file_exit(tmp_path, capsys):
     rc = main(["classify", "--g", str(tmp_path / "nope.tg")])
     assert rc == 2

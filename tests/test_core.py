@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -238,6 +239,20 @@ def test_align_names(tri):
     assert align_names(shuffled, g1) == g1
     with pytest.raises(GraphError):
         align_names(TemporalGraph.build("ab", 2, [("a", "b", 1)]), g1)
+
+
+def test_align_names_reversed_large_graph_is_fast():
+    n = 50_000
+    names = [f"v{i}" for i in range(n)]
+    like = TemporalGraph(names, 1, frozenset(TemporalEdge(i, i + 1, 1) for i in range(n - 1)))
+    # the same path with the vertex table reversed: names[i] sits at n-1-i
+    g = TemporalGraph(names[::-1], 1, frozenset(TemporalEdge(n - 2 - i, n - 1 - i, 1) for i in range(n - 1)))
+    start = time.perf_counter()
+    assert align_names(g, like) == like
+    assert time.perf_counter() - start < 5.0
+    assert g.index("v0") == n - 1
+    with pytest.raises(GraphError, match="unknown vertex name"):
+        g.index("w")
 
 
 def test_generated_instances_are_always_connected():

@@ -10,6 +10,7 @@ from tgr.formats import (
     parse_sequence,
     parse_temporal_graph,
     parse_vc,
+    read_text,
 )
 
 import helpers
@@ -146,3 +147,26 @@ def test_comments_and_blank_lines_ignored():
     text = "\n# hi\ntg 1\n\nt 1\nv a\n  # indented comment\nv b\ne a b 1\n"
     g = parse_temporal_graph(text)
     assert g == TemporalGraph.build("ab", 1, [("a", "b", 1)])
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        (b"\xfftg 1\n", 1),
+        (b"tg 1\r\nt 2\r\nv \xc3\xa9 \xc3(\n", 3),
+        (b"# \xe2\x82\xac\n\n# \xe2\x82\n", 3),
+    ],
+)
+def test_read_text_reports_line_of_first_bad_byte(tmp_path, data, line):
+    path = tmp_path / "in.tg"
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        read_text(path)
+    assert exc.value.line == line
+    assert str(exc.value) == f"{path}:{line}: not UTF-8 text"
+
+
+def test_read_text_decodes_utf8(tmp_path):
+    path = tmp_path / "in.tg"
+    path.write_bytes("tg 1\r\nv \u00e9\n".encode("utf-8"))
+    assert read_text(path) == "tg 1\r\nv \u00e9\n"

@@ -1,0 +1,70 @@
+"""Hypothesis fuzzing of the text readers: malformed input is only ever a
+ParseError, and what each writer emits reads back to the same value."""
+
+from hypothesis import given, settings, strategies as st
+
+from tgr import RelabelOp, generate_random_instance
+from tgr.formats import (
+    ParseError,
+    format_sequence,
+    format_temporal_graph,
+    format_vc,
+    parse_edge_list,
+    parse_sequence,
+    parse_temporal_graph,
+    parse_vc,
+)
+
+import helpers
+
+TRI, _ = helpers.tri_pair()
+# each reader with a valid opening, so fuzzed lines reach its directives
+READERS = (
+    (parse_temporal_graph, "tg 1\nt 2\nv a\nv b\n"),
+    (lambda text: parse_sequence(text, TRI), "tgs 1\n"),
+    (parse_vc, "vc 1\nk 1\nv a\nv b\n"),
+    (parse_edge_list, ""),
+)
+# a line is a directive-like token and up to four argument-like ones
+DIRECTIVE = st.sampled_from(["e", "e", "r", "r", "v", "t", "k", "tg", "x", "#"])
+ARGUMENT = st.sampled_from(["a", "b", "c", "a,b", "1", "2", "0", "-1", "two", "9" * 5000])
+LINE = st.builds(lambda d, args: " ".join([d, *args]), DIRECTIVE, st.lists(ARGUMENT, min_size=1, max_size=4))
+
+
+@given(st.text(max_size=200), st.lists(LINE, max_size=20).map("\n".join))
+@settings(max_examples=200, deadline=None)
+def test_readers_raise_only_parse_error(text, soup):
+    for read, opening in READERS:
+        for candidate in (text, soup, opening + soup):
+            try:
+                read(candidate)
+            except ParseError:
+                pass
+
+
+GRAPHS = st.builds(generate_random_instance, st.integers(1, 7), st.integers(1, 4), st.just(0), st.integers(0, 10_000))
+
+
+@given(GRAPHS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_tg_and_tgs_round_trip(g, data):
+    assert parse_temporal_graph(format_temporal_graph(g)) == g
+    if g.n < 2 or g.lifetime < 2:
+        return
+    vertex = st.integers(0, g.n - 1)
+    time = st.integers(1, g.lifetime)
+    ops = data.draw(st.lists(st.tuples(vertex, vertex, time, time), max_size=8))
+    ops = [RelabelOp(min(u, v), max(u, v), a, b) for u, v, a, b in ops if u != v and a != b]
+    assert parse_sequence(format_sequence(ops, g), g) == ops
+
+
+NAME = st.text("abcxyz019._'", min_size=1, max_size=4)
+
+
+@given(st.lists(NAME, min_size=1, max_size=8, unique=True), st.integers(0, 10), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vc_and_edge_list_round_trip(names, k, data):
+    pairs = [(u, v) for u in names for v in names if u < v]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    assert parse_vc(format_vc(names, edges, k)) == (names, edges, k)
+    assert parse_edge_list("".join(f"{v} {u}\n" for u, v in edges)) == edges
