@@ -23,14 +23,8 @@ from .core import (
     is_valid_relabel,
     validate_sequence,
 )
-from .reachability import (
-    CrossMap,
-    ReachabilityPartition,
-    compute_cross,
-    is_crossing,
-    reachability_partition,
-)
-from .changeability import ChangeTable, classify, compute_change_table, sequence_to_nonbridge
+from .reachability import ReachabilityPartition, is_crossing, reachability_partition
+from .changeability import ChangeTable, classify, sequence_to_nonbridge
 from .planner import (
     Feasible,
     Infeasible,
@@ -75,14 +69,11 @@ __all__ = [
     "is_always_connected",
     "is_valid_relabel",
     "validate_sequence",
-    "CrossMap",
     "ReachabilityPartition",
-    "compute_cross",
     "is_crossing",
     "reachability_partition",
     "ChangeTable",
     "classify",
-    "compute_change_table",
     "sequence_to_nonbridge",
     "Feasible",
     "Infeasible",

@@ -6,7 +6,9 @@ Level 0 holds the non-bridges.  A bridge gets level k+1 when some level-k
 edge crosses its partition: once that helper is a non-bridge, moving the
 helper's pair into the bridge's snapshot closes a cycle through the bridge.
 Edges never reached by this breadth-first sweep can never be relabeled, no
-matter what happens first.
+matter what happens first.  ``classify`` is the one entry point; it tests
+each helper against the bridges not yet leveled, so no per-edge crossing
+map is built.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, find_bridges
-from .reachability import CrossMap, compute_cross
+from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _reach, find_bridges
 
 
 @dataclass(frozen=True)
@@ -39,43 +40,6 @@ class ChangeTable:
 
     def unchangeable_edges(self) -> list[TemporalEdge]:
         return sorted(e for e in self.edges if e not in self.levels)
-
-
-def compute_change_table(g: TemporalGraph, cross: CrossMap) -> ChangeTable:
-    """Breadth-first level assignment over the crossing structure.
-
-    Level 0 is the set of non-bridges.  Each level-k edge then promotes the
-    still-unleveled bridges it crosses to level k+1, recording itself as the
-    back-reference.  Frontiers and crossing lists are processed in canonical
-    order, so back-references are deterministic.  The sweep stops at the
-    first empty level; everything unleveled is unchangeable.  A candidate
-    whose enabling relabel would land on an occupied slot is skipped (this
-    only happens when helper and candidate share the vertex pair).
-    """
-    bridges = find_bridges(g)
-    levels: dict[TemporalEdge, int] = {}
-    back_refs: dict[TemporalEdge, TemporalEdge] = {}
-    frontier = sorted(e for e in g.edges if e not in bridges)
-    for e in frontier:
-        levels[e] = 0
-    k = 0
-    max_level = 0 if frontier else -1
-    while frontier:
-        nxt: list[TemporalEdge] = []
-        for helper in frontier:
-            for cand in cross[helper]:
-                if cand in levels:
-                    continue
-                if TemporalEdge(helper.u, helper.v, cand.t) in g.edges:
-                    continue  # enabling relabel would collide
-                levels[cand] = k + 1
-                back_refs[cand] = helper
-                nxt.append(cand)
-        frontier = sorted(nxt)
-        if frontier:
-            k += 1
-            max_level = k
-    return ChangeTable(g.edges, levels, back_refs, max_level)
 
 
 def sequence_to_nonbridge(
@@ -102,5 +66,41 @@ def sequence_to_nonbridge(
 
 
 def classify(g: TemporalGraph) -> ChangeTable:
-    """Crossing structure plus level table in one call."""
-    return compute_change_table(g, compute_cross(g))
+    """Breadth-first level table of ``g``.
+
+    Level 0 is the set of non-bridges.  Each bridge's side of its partition
+    is found once, by one traversal of its snapshot minus the bridge.  Each
+    level-k helper, in canonical order, then claims every still-unleveled
+    bridge whose partition it crosses as level k+1, recording itself as the
+    back-reference.  A bridge whose enabling relabel would land on an
+    occupied slot is skipped (this only happens when helper and bridge share
+    the vertex pair).  The sweep stops when a level is empty or no bridge is
+    left; everything unleveled is unchangeable.
+    """
+    bridges = find_bridges(g)
+    by_t = g.edges_by_time()
+    pending: dict[TemporalEdge, bytes] = {}  # unleveled bridge -> side of its u, per vertex
+    for bridge in sorted(bridges):
+        pairs = by_t[bridge.t].copy()
+        pairs.remove(bridge.pair)
+        pending[bridge] = bytes(_reach(g.n, pairs, bridge.u))
+    frontier = sorted(e for e in g.edges if e not in bridges)
+    levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
+    back_refs: dict[TemporalEdge, TemporalEdge] = {}
+    k = 0
+    while frontier and pending:
+        k += 1
+        nxt: list[TemporalEdge] = []
+        for helper in frontier:
+            u, v = helper.pair
+            claimed = [
+                b for b, side in pending.items()
+                if side[u] != side[v] and TemporalEdge(u, v, b.t) not in g.edges
+            ]
+            for b in claimed:
+                del pending[b]
+                levels[b] = k
+                back_refs[b] = helper
+            nxt.extend(claimed)
+        frontier = sorted(nxt)
+    return ChangeTable(g.edges, levels, back_refs, max(levels.values(), default=-1))

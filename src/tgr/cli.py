@@ -43,7 +43,7 @@ from .formats import (
 from .hardness import VCInstance, build_reduction, cover_to_sequence
 from .oracle import OracleBudget, generate_random_instance, oracle_shortest_sequence
 from .planner import Feasible, Infeasible, feasible, plan
-from .reachability import compute_cross, reachability_partition
+from .reachability import is_crossing, reachability_partition
 
 
 def _emit(args, doc: dict, plain: str) -> None:
@@ -146,9 +146,10 @@ def cmd_validate(args) -> int:
 def cmd_classify(args) -> int:
     g = load_temporal_graph(args.g)
     table = classify(g)
+    edges = g.sorted_edges()
     lines = []
     edges_doc = []
-    for e in g.sorted_edges():
+    for e in edges:
         level = table.levels.get(e)
         ref = table.back_refs.get(e)
         via = f"{g.name(ref.u)},{g.name(ref.v)},{ref.t}" if ref else "-"
@@ -163,15 +164,10 @@ def cmd_classify(args) -> int:
         )
     doc = {"command": "classify", "edges": edges_doc}
     if args.dump_cross:
-        cross = compute_cross(g)
-        crossing_of: dict[TemporalEdge, list[TemporalEdge]] = {}
-        for e, bridges_of_e in cross.items():
-            for b in bridges_of_e:
-                crossing_of.setdefault(b, []).append(e)
         bridges_doc = []
         for b in sorted(find_bridges(g)):
             part = reachability_partition(g, b)
-            members = sorted(crossing_of.get(b, []))
+            members = [e for e in edges if e != b and is_crossing(part, e.pair)]
             lines.append(
                 f"bridge {_edge_str(g, b)} sides {len(part.comp_u)} {len(part.comp_v)}"
             )

@@ -37,6 +37,8 @@ class OracleBudget:
     def __post_init__(self):
         if self.max_states < 1:
             raise GraphError("max_states must be at least 1")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise GraphError("max_depth must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from tgr import (
+    ChangeTable,
     RelabelOp,
     TemporalEdge,
     TemporalGraph,
@@ -13,7 +14,7 @@ from tgr import (
     generate_random_instance,
     is_always_connected,
 )
-from tgr.core import static_connected
+from tgr.core import _reach, static_connected
 
 
 def tri_pair():
@@ -131,3 +132,72 @@ def random_compatible_target(g: TemporalGraph, rng: random.Random, tries: int = 
         if is_always_connected(cand):
             return cand
     return None
+
+
+def compute_cross(g: TemporalGraph, counters: dict | None = None) -> dict[TemporalEdge, tuple[TemporalEdge, ...]]:
+    """For every temporal edge, the bridges whose partition it crosses.
+
+    Work per bridge is one traversal of its snapshot plus one scan over all
+    temporal edges, so the total is quadratic in the edge count.  A bridge
+    is never listed in its own entry.  When ``counters`` is given, it is
+    filled with the amount of work done per kind, for complexity tests.
+    """
+    edge_list = g.sorted_edges()
+    cross: dict[TemporalEdge, list[TemporalEdge]] = {e: [] for e in edge_list}
+    bridges = sorted(find_bridges(g))
+    by_t = g.edges_by_time()
+    partition_visits = 0
+    crossing_tests = 0
+    for bridge in bridges:
+        # mark one side of the partition; the other side is its complement
+        pairs = by_t[bridge.t].copy()
+        pairs.remove(bridge.pair)
+        side = _reach(g.n, pairs, bridge.u)
+        partition_visits += sum(side)
+        for e in edge_list:
+            crossing_tests += 1
+            if side[e.u] != side[e.v] and e != bridge:
+                cross[e].append(bridge)
+    if counters is not None:
+        counters["bridges"] = len(bridges)
+        counters["partition_visits"] = partition_visits
+        counters["crossing_tests"] = crossing_tests
+    return {e: tuple(members) for e, members in cross.items()}
+
+
+def reference_classify(g: TemporalGraph) -> ChangeTable:
+    """Slow reference for ``classify``: the full crossing map, then the sweep.
+
+    Level 0 is the set of non-bridges.  Each level-k edge then promotes the
+    still-unleveled bridges it crosses to level k+1, recording itself as the
+    back-reference.  Frontiers and crossing lists are processed in canonical
+    order, so back-references are deterministic.  The sweep stops at the
+    first empty level; everything unleveled is unchangeable.  A candidate
+    whose enabling relabel would land on an occupied slot is skipped (this
+    only happens when helper and candidate share the vertex pair).
+    """
+    cross = compute_cross(g)
+    bridges = find_bridges(g)
+    levels: dict[TemporalEdge, int] = {}
+    back_refs: dict[TemporalEdge, TemporalEdge] = {}
+    frontier = sorted(e for e in g.edges if e not in bridges)
+    for e in frontier:
+        levels[e] = 0
+    k = 0
+    max_level = 0 if frontier else -1
+    while frontier:
+        nxt: list[TemporalEdge] = []
+        for helper in frontier:
+            for cand in cross[helper]:
+                if cand in levels:
+                    continue
+                if TemporalEdge(helper.u, helper.v, cand.t) in g.edges:
+                    continue  # enabling relabel would collide
+                levels[cand] = k + 1
+                back_refs[cand] = helper
+                nxt.append(cand)
+        frontier = sorted(nxt)
+        if frontier:
+            k += 1
+            max_level = k
+    return ChangeTable(g.edges, levels, back_refs, max_level)

@@ -1,12 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from tgr import (
     GraphError,
     TemporalGraph,
+    VCInstance,
     apply_relabel,
+    build_reduction,
     classify,
-    compute_change_table,
-    compute_cross,
     find_bridges,
     generate_random_instance,
     oracle_min_steps_to_nonbridge,
@@ -16,7 +19,7 @@ from tgr import core
 from tgr.core import is_valid_relabel
 
 import helpers
-from helpers import te
+from helpers import reference_classify, te
 
 
 def test_chain2_levels(chain2):
@@ -150,7 +153,7 @@ def test_levels_match_oracle_small():
 
 
 def test_classify_is_compose_of_cross_and_table(chain2):
-    table = compute_change_table(chain2, compute_cross(chain2))
+    table = reference_classify(chain2)
     assert table == classify(chain2)
 
 
@@ -166,11 +169,43 @@ def test_classify_computes_each_snapshot_bridges_once(monkeypatch):
     monkeypatch.setattr(core, "static_bridges", counting)
     table = classify(g)
     assert len(calls) == len(g.edges_by_time())
-    assert table == compute_change_table(g, compute_cross(g))  # served from the cache
+    assert table == classify(g)  # served from the cache
     assert len(calls) == len(g.edges_by_time())
 
 
 def test_change_table_rejects_disconnected_graph():
     g = TemporalGraph.build("abc", 1, [("a", "b", 1)])
     with pytest.raises(GraphError):
-        compute_change_table(g, {})
+        classify(g)
+
+
+def vc_reduction_graphs(n, m, seed):
+    """Start and target graph of the reduction of a seeded G(n, m)."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(n)]
+    inst = VCInstance.build(names, rng.sample(list(itertools.combinations(names, 2)), m), n // 2)
+    out = build_reduction(inst)
+    return [out.g1, out.g2]
+
+
+def differential_corpus():
+    graphs = [helpers.small_instance(seed) for seed in range(500)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(4, 10)
+        graphs.append(generate_random_instance(n, rng.randint(2, 4), rng.randint(0, 2), seed))
+    for (n, m), seed in itertools.product([(6, 6), (10, 12), (20, 28)], range(3)):
+        graphs += vc_reduction_graphs(n, m, seed)
+    return graphs
+
+
+def test_classify_matches_crossing_map_reference():
+    deep = 0
+    for i, g in enumerate(differential_corpus()):
+        table = classify(g)
+        ref = reference_classify(g)
+        assert table.levels == ref.levels, i
+        assert table.back_refs == ref.back_refs, i
+        assert table.max_level == ref.max_level, i
+        deep += table.max_level >= 2
+    assert deep >= 20  # the sweep beyond level 1 is exercised

@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+import tgr
 from tgr.cli import main
 from tgr.formats import format_temporal_graph, load_temporal_graph
 
@@ -95,6 +96,64 @@ def test_classify_unchangeable_and_dump_cross(infeas_files, capsys):
     assert "bridge" in out and "sides" in out
 
 
+def naive_side(pairs, start):
+    """Vertices joined to ``start`` by ``pairs``, by repeated closure."""
+    seen = {start}
+    grew = True
+    while grew:
+        grew = False
+        for a, b in pairs:
+            if (a in seen) != (b in seen):
+                seen |= {a, b}
+                grew = True
+    return seen
+
+
+def reference_dump_cross(g):
+    """Plain and JSON ``classify --dump-cross`` output from the test references."""
+    table = helpers.reference_classify(g)
+    cross = helpers.compute_cross(g)
+
+    def doc(e):
+        return {"u": g.name(e.u), "v": g.name(e.v), "t": e.t}
+
+    def text(e):
+        return f"{g.name(e.u)} {g.name(e.v)} {e.t}"
+
+    lines, edges_doc, bridges_doc = [], [], []
+    for e in sorted(g.edges):
+        level, ref = table.levels.get(e), table.back_refs.get(e)
+        via = text(ref).replace(" ", ",") if ref else "-"
+        lines.append(f"{text(e)} level={'unchangeable' if level is None else level} via={via}")
+        edges_doc.append({**doc(e), "level": level, "via": doc(ref) if ref else None})
+    for b in sorted(tgr.find_bridges(g)):
+        pairs = [x.pair for x in g.edges if x.t == b.t and x != b]
+        sizes = [len(naive_side(pairs, b.u)), len(naive_side(pairs, b.v))]
+        members = sorted(e for e in g.edges if b in cross[e])
+        lines.append(f"bridge {text(b)} sides {sizes[0]} {sizes[1]}")
+        lines += [f"  crossing {text(e)}" for e in members]
+        bridges_doc.append({**doc(b), "side_sizes": sizes, "crossing": [doc(e) for e in members]})
+    plain = "\n".join(lines) + "\n"
+    return plain, {"command": "classify", "edges": edges_doc, "bridges": bridges_doc}
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [helpers.chain2, lambda: tgr.generate_random_instance(12, 4, 3, 7)],
+    ids=["chain2", "gen"],
+)
+def test_dump_cross_matches_reference(graph, tmp_path, capsys):
+    g = graph()
+    path = tmp_path / "g.tg"
+    path.write_text(format_temporal_graph(g))
+    plain, doc = reference_dump_cross(g)
+    assert doc["bridges"] and any(b["crossing"] for b in doc["bridges"])
+    assert main(["classify", "--g", str(path), "--dump-cross"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(["classify", "--g", str(path), "--dump-cross", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == doc
+
+
 def test_diff_output(tri_files, capsys):
     assert main(["diff", "--g1", tri_files[0], "--g2", tri_files[1]]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -121,6 +180,13 @@ def test_oracle_budget_exit(tmp_path, capsys):
     p2.write_text(format_temporal_graph(g2))
     assert main(["oracle", "--g1", str(p1), "--g2", str(p2), "--max-states", "1"]) == 2
     assert capsys.readouterr().out.strip() == "budget"
+
+
+def test_oracle_negative_depth_cap_exits_2(tri_files, capsys):
+    assert main(["oracle", "--g1", tri_files[0], "--g2", tri_files[1], "--max-depth", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tgr: max_depth must be non-negative\n"
 
 
 def test_gen_round_trips(tmp_path, capsys):

@@ -106,6 +106,12 @@ def test_budget_must_be_positive():
         OracleBudget(max_states=0)
 
 
+def test_depth_cap_must_be_non_negative():
+    with pytest.raises(GraphError, match="max_depth must be non-negative"):
+        OracleBudget(max_depth=-1)
+    assert OracleBudget(max_depth=0).max_depth == 0
+
+
 def test_depth_cap_still_finds_shallow_answers(tri):
     g1, g2 = tri
     out = oracle_shortest_sequence(g1, g2, OracleBudget(max_depth=1))

@@ -4,14 +4,13 @@ from tgr import (
     GraphError,
     TemporalGraph,
     apply_relabel,
-    compute_cross,
     find_bridges,
     is_crossing,
     reachability_partition,
 )
 
 import helpers
-from helpers import te
+from helpers import compute_cross, te
 
 
 def vertex_names(g, members):
