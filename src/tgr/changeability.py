@@ -6,9 +6,10 @@ Level 0 holds the non-bridges.  A bridge gets level k+1 when some level-k
 edge crosses its partition: once that helper is a non-bridge, moving the
 helper's pair into the bridge's snapshot closes a cycle through the bridge.
 Edges never reached by this breadth-first sweep can never be relabeled, no
-matter what happens first.  ``classify`` is the one entry point; it tests
-each helper against the bridges not yet leveled, so no per-edge crossing
-map is built.
+matter what happens first.  ``classify`` tests each helper against the
+bridges not yet leveled, each side read as an entry-order interval of the
+snapshot's cached DFS tree, so it runs no traversal of its own and builds
+no per-edge crossing map.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _reach, find_bridges
+from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, find_bridges
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def classify(g: TemporalGraph) -> ChangeTable:
     """Breadth-first level table of ``g``.
 
     Level 0 is the set of non-bridges.  Each bridge's side of its partition
-    is found once, by one traversal of its snapshot minus the bridge.  Each
+    is the entry-order interval of the DFS subtree below it.  Each
     level-k helper, in canonical order, then claims every still-unleveled
     bridge whose partition it crosses as level k+1, recording itself as the
     back-reference.  A bridge whose enabling relabel would land on an
@@ -78,12 +79,11 @@ def classify(g: TemporalGraph) -> ChangeTable:
     left; everything unleveled is unchangeable.
     """
     bridges = find_bridges(g)
-    by_t = g.edges_by_time()
-    pending: dict[TemporalEdge, bytes] = {}  # unleveled bridge -> side of its u, per vertex
+    pending: dict[TemporalEdge, tuple[list[int], int, int]] = {}  # unleveled bridge -> its side
     for bridge in sorted(bridges):
-        pairs = by_t[bridge.t].copy()
-        pairs.remove(bridge.pair)
-        pending[bridge] = bytes(_reach(g.n, pairs, bridge.u))
+        dfs = g._dfs[bridge.t]
+        c = dfs.below[bridge.pair]
+        pending[bridge] = (dfs.enter, dfs.enter[c], dfs.leave[c])
     frontier = sorted(e for e in g.edges if e not in bridges)
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
@@ -94,8 +94,9 @@ def classify(g: TemporalGraph) -> ChangeTable:
         for helper in frontier:
             u, v = helper.pair
             claimed = [
-                b for b, side in pending.items()
-                if side[u] != side[v] and TemporalEdge(u, v, b.t) not in g.edges
+                b for b, (enter, lo, hi) in pending.items()
+                if (lo <= enter[u] < hi) != (lo <= enter[v] < hi)
+                and TemporalEdge(u, v, b.t) not in g.edges
             ]
             for b in claimed:
                 del pending[b]

@@ -3,14 +3,18 @@
 A temporal graph is a fixed vertex set together with a set of undirected
 edges, each active at one integer time in ``1..lifetime``.  Vertices are
 dense indices internally; a name table maps them to external tokens.  All
-operations are pure: relabeling an edge returns a new graph value.
+operations are pure: relabeling an edge returns a new graph value.  One
+lowlink DFS per snapshot (``static_bridges``, cached on the graph) gives
+its connectivity, its bridges and each bridge's two sides.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -134,35 +138,34 @@ class TemporalGraph:
             raise GraphError(f"snapshot time {t} outside 1..{self.lifetime}")
         return tuple(sorted(e.pair for e in self.edges if e.t == t))
 
-    def edges_by_time(self) -> dict[int, list[tuple[int, int]]]:
-        """All non-empty snapshots at once: time -> list of static pairs.
-        Times without edges are absent, so a long lifetime costs nothing."""
-        by_t: defaultdict[int, list[tuple[int, int]]] = defaultdict(list)
-        for u, v, t in self.edges:
-            by_t[t].append((u, v))
-        return dict(by_t)
-
     @cached_property
+    def _dfs(self) -> dict[int, StaticBridges]:
+        """``static_bridges`` of each snapshot in time order, stopping before
+        the first disconnected one; cached on the graph.  An empty snapshot
+        is disconnected when n >= 2, so this stops by time M + 1."""
+        out: dict[int, StaticBridges] = {}
+        by_time = attrgetter("t")
+        for t, group in groupby(sorted(self.edges, key=by_time), by_time):
+            if t > len(out) + 1:
+                break  # snapshot len(out) + 1 is empty
+            dfs = static_bridges(self.n, [e.pair for e in group])
+            if dfs.leave[0] < self.n:
+                break
+            out[t] = dfs
+        return out
+
+    @property
     def _disconnected_at(self) -> int | None:
-        """Earliest time whose snapshot is not connected, or None; cached on
-        the graph.  With n >= 2 an empty snapshot is disconnected, so the
-        scan stops by time M + 1."""
-        if self.n <= 1:
-            return None  # no edges, and every snapshot is connected
-        by_t = self.edges_by_time()
-        for t in range(1, self.lifetime + 1):
-            if not static_connected(self.n, by_t.get(t, ())):
-                return t
-        return None
+        """Earliest time whose snapshot is not connected, or None."""
+        t = len(self._dfs) + 1
+        return t if self.n > 1 and t <= self.lifetime else None
 
     @cached_property
     def _bridges(self) -> frozenset[TemporalEdge]:
-        """Bridges of every non-empty snapshot, one lowlink pass each;
-        cached on the graph.  Meaningful only when always-connected."""
+        """Bridges of every snapshot; cached on the graph.  Meaningful only
+        when always-connected."""
         return frozenset(
-            TemporalEdge(u, v, t)
-            for t, pairs in self.edges_by_time().items()
-            for u, v in static_bridges(self.n, pairs)
+            TemporalEdge(u, v, t) for t, dfs in self._dfs.items() for u, v in dfs.below
         )
 
     def sorted_edges(self) -> list[TemporalEdge]:
@@ -190,30 +193,24 @@ class ValidationReport:
 # Static-graph helpers shared by the temporal operations (and by the oracle,
 # which works on raw edge sets rather than TemporalGraph values).
 
-def _reach(n: int, pairs: Iterable[tuple[int, int]], start: int = 0) -> list[bool]:
-    """Which vertices the static graph joins to ``start``; one traversal."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = [False] * n
-    seen[start] = True
-    stack = [start]
-    while stack:
-        for y in adj[stack.pop()]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    return seen
+class StaticBridges(NamedTuple):
+    """One lowlink DFS of a static graph, roots taken in vertex order.
+
+    ``enter[x]`` is x's entry order and ``leave[x]`` the entry order just
+    past its subtree.  ``below`` maps each bridge to its endpoint ``c``
+    farther from the root; removing the bridge leaves on c's side exactly
+    the x with ``enter[c] <= enter[x] < leave[c]``.  With n >= 1 the graph
+    is connected iff ``leave[0] == n``.
+    """
+
+    below: dict[tuple[int, int], int]
+    enter: list[int]
+    leave: list[int]
 
 
-def static_connected(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """True iff the static graph on ``n`` vertices is connected (n <= 1: yes)."""
-    return n <= 1 or all(_reach(n, pairs))
-
-
-def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Bridges of a static simple graph, via an iterative lowlink DFS."""
+def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> StaticBridges:
+    """Bridges of a static simple graph and their sides, via one iterative
+    lowlink DFS (Tarjan 1974); the bridge keys are pairs as given."""
     edge_list = list(pairs)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(edge_list):
@@ -221,37 +218,37 @@ def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, i
         adj[v].append((u, i))
     disc = [-1] * n
     low = [0] * n
-    parent_edge = [-1] * n
-    out: set[tuple[int, int]] = set()
+    leave = [0] * n
+    below: dict[tuple[int, int], int] = {}
     timer = 0
     for root in range(n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack: list[tuple[int, int]] = [(root, 0)]  # (vertex, next adjacency index)
+        stack = [(root, -1, iter(adj[root]))]  # (vertex, edge to its parent, neighbours left)
         while stack:
-            x, i = stack.pop()
-            if i < len(adj[x]):
-                stack.append((x, i + 1))
-                y, eid = adj[x][i]
-                if eid == parent_edge[x]:
+            x, parent_edge, neighbours = stack[-1]
+            for y, eid in neighbours:
+                if eid == parent_edge:
                     continue
                 if disc[y] == -1:
                     disc[y] = low[y] = timer
                     timer += 1
-                    parent_edge[y] = eid
-                    stack.append((y, 0))
-                elif disc[y] < low[x]:
+                    stack.append((y, eid, iter(adj[y])))
+                    break
+                if disc[y] < low[x]:
                     low[x] = disc[y]
-            elif parent_edge[x] != -1:
-                u, v = edge_list[parent_edge[x]]
-                p = u if v == x else v
-                if low[x] < low[p]:
-                    low[p] = low[x]
-                if low[x] > disc[p]:
-                    out.add(edge_list[parent_edge[x]])
-    return out
+            else:
+                stack.pop()
+                leave[x] = timer
+                if stack:
+                    p = stack[-1][0]
+                    if low[x] < low[p]:
+                        low[p] = low[x]
+                    if low[x] > disc[p]:
+                        below[edge_list[parent_edge]] = x
+    return StaticBridges(below, disc, leave)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +293,7 @@ def _relabel_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
         return "missing_edge"
     if TemporalEdge(u, v, op.to_time) in g.edges:
         return "collision"
-    if (u, v) in static_bridges(g.n, g.snapshot(op.from_time)):
+    if (u, v) in static_bridges(g.n, g.snapshot(op.from_time)).below:
         return "disconnects"
     return None
 

@@ -61,7 +61,7 @@ def _snapshot_bridge_sets(n: int, lifetime: int, state: frozenset[TemporalEdge])
     by_t: dict[int, list[tuple[int, int]]] = {t: [] for t in range(1, lifetime + 1)}
     for e in state:
         by_t[e.t].append(e.pair)
-    return {t: static_bridges(n, pairs) for t, pairs in by_t.items()}
+    return {t: static_bridges(n, pairs).below for t, pairs in by_t.items()}
 
 
 def _moves(n: int, lifetime: int, state: frozenset[TemporalEdge]):
@@ -146,7 +146,7 @@ def oracle_min_steps_to_nonbridge(
     def nonbridge(state, _):
         return target in state and target.pair not in static_bridges(
             g.n, [e.pair for e in state if e.t == target.t]
-        )
+        ).below
 
     status, ops = _bfs(g, budget, nonbridge)
     if status == "found":

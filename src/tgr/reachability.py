@@ -1,17 +1,17 @@
 """Reachability partitions of bridges and the crossing-edge test.
 
-Removing a bridge splits its snapshot into exactly two components; an edge
-whose endpoints land on opposite sides is a *crossing* edge.  The level
-sweep in ``changeability.classify`` and ``tgr classify --dump-cross`` are
-both built on this relation.
+Removing a bridge splits its snapshot into exactly two components, read off
+the snapshot's cached DFS tree as the subtree below the bridge and the rest.
+An edge whose endpoints land on opposite sides is a *crossing* edge; the
+level sweep in ``changeability.classify`` and ``tgr classify --dump-cross``
+are both built on this relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
-from .core import GraphError, TemporalEdge, TemporalGraph, _reach
+from .core import GraphError, TemporalEdge, TemporalGraph, find_bridges
 
 
 @dataclass(frozen=True)
@@ -24,23 +24,21 @@ class ReachabilityPartition:
 
 
 def reachability_partition(g: TemporalGraph, bridge: TemporalEdge) -> ReachabilityPartition:
-    """Partition of the vertices by the two sides of ``bridge``.
-
-    Two traversals of the snapshot minus the bridge, one from each endpoint.
-    Raises if the edge is missing or is not actually a bridge.
-    """
+    """Partition of the vertices by the two sides of ``bridge``, read off
+    the cached DFS tree.  Raises if the edge is missing, if ``g`` is not
+    always-connected, or if the edge is not actually a bridge."""
     bridge = TemporalEdge(*bridge)
     if bridge not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {bridge!r}")
-    pairs = list(g.snapshot(bridge.t))
-    pairs.remove(bridge.pair)
-    side_u = _reach(g.n, pairs, bridge.u)
-    if side_u[bridge.v]:
+    if bridge not in find_bridges(g):
         raise GraphError(f"not a bridge: {bridge!r}")
-    side_v = _reach(g.n, pairs, bridge.v)
-    return ReachabilityPartition(
-        bridge, frozenset(compress(range(g.n), side_u)), frozenset(compress(range(g.n), side_v))
-    )
+    dfs = g._dfs[bridge.t]
+    c = dfs.below[bridge.pair]
+    side_c = frozenset(x for x in range(g.n) if dfs.enter[c] <= dfs.enter[x] < dfs.leave[c])
+    rest = frozenset(range(g.n)) - side_c
+    if c == bridge.u:
+        return ReachabilityPartition(bridge, side_c, rest)
+    return ReachabilityPartition(bridge, rest, side_c)
 
 
 def is_crossing(p: ReachabilityPartition, pair: tuple[int, int]) -> bool:

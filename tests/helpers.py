@@ -14,7 +14,23 @@ from tgr import (
     generate_random_instance,
     is_always_connected,
 )
-from tgr.core import _reach, static_connected
+
+
+def reach(n: int, pairs, start: int = 0) -> list[bool]:
+    """Which vertices the static graph joins to ``start``; one plain traversal."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    seen[start] = True
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
+    return seen
 
 
 def tri_pair():
@@ -79,9 +95,23 @@ def naive_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     out = set()
     for e in g.edges:
         pairs = [x.pair for x in g.edges if x.t == e.t and x != e]
-        if not static_connected(g.n, pairs):
+        if not all(reach(g.n, pairs)):
             out.add(e)
     return frozenset(out)
+
+
+def naive_static_bridges(n: int, pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Delete each edge and test whether its endpoints are still joined."""
+    return {
+        (u, v) for u, v in pairs
+        if not reach(n, [p for p in pairs if p != (u, v)], u)[v]
+    }
+
+
+def naive_side(n: int, pairs: list[tuple[int, int]], bridge: tuple[int, int], start: int) -> set[int]:
+    """The vertices joined to ``start`` once ``bridge`` is deleted."""
+    seen = reach(n, [p for p in pairs if p != bridge], start)
+    return {x for x in range(n) if seen[x]}
 
 
 def all_valid_moves(g: TemporalGraph) -> list[RelabelOp]:
@@ -145,14 +175,12 @@ def compute_cross(g: TemporalGraph, counters: dict | None = None) -> dict[Tempor
     edge_list = g.sorted_edges()
     cross: dict[TemporalEdge, list[TemporalEdge]] = {e: [] for e in edge_list}
     bridges = sorted(find_bridges(g))
-    by_t = g.edges_by_time()
     partition_visits = 0
     crossing_tests = 0
     for bridge in bridges:
         # mark one side of the partition; the other side is its complement
-        pairs = by_t[bridge.t].copy()
-        pairs.remove(bridge.pair)
-        side = _reach(g.n, pairs, bridge.u)
+        pairs = [e.pair for e in edge_list if e.t == bridge.t and e != bridge]
+        side = reach(g.n, pairs, bridge.u)
         partition_visits += sum(side)
         for e in edge_list:
             crossing_tests += 1

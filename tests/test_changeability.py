@@ -12,7 +12,9 @@ from tgr import (
     classify,
     find_bridges,
     generate_random_instance,
+    is_always_connected,
     oracle_min_steps_to_nonbridge,
+    reachability_partition,
     sequence_to_nonbridge,
 )
 from tgr import core
@@ -159,6 +161,7 @@ def test_classify_is_compose_of_cross_and_table(chain2):
 
 def test_classify_computes_each_snapshot_bridges_once(monkeypatch):
     g = generate_random_instance(8, 4, 2, 3)
+    snapshots = len({e.t for e in g.edges})
     real = core.static_bridges
     calls = []
 
@@ -167,10 +170,19 @@ def test_classify_computes_each_snapshot_bridges_once(monkeypatch):
         return real(n, pairs)
 
     monkeypatch.setattr(core, "static_bridges", counting)
+    assert is_always_connected(g)
+    assert len(calls) == snapshots  # the connectivity check is the one pass
     table = classify(g)
-    assert len(calls) == len(g.edges_by_time())
+    for b in find_bridges(g):
+        reachability_partition(g, b)
+    assert len(calls) == snapshots
     assert table == classify(g)  # served from the cache
-    assert len(calls) == len(g.edges_by_time())
+    assert len(calls) == snapshots
+
+    calls.clear()
+    broken = TemporalGraph.build("abc", 3, [("a", "b", 1), ("b", "c", 1), ("a", "b", 2), ("a", "b", 3)])
+    assert not is_always_connected(broken)
+    assert len(calls) == 2  # the fill stops at the first disconnected snapshot
 
 
 def test_change_table_rejects_disconnected_graph():

@@ -311,3 +311,15 @@ def test_long_lifetime_is_decided_in_edge_count_memory(tmp_path, capsys, command
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, f"peak {peak} bytes"
+
+
+def test_check_long_sparse_graph_exits_2(tmp_path, capsys):
+    n = 20_000
+    path = tmp_path / "wide.tg"
+    vertices = "".join(f"v v{i}\n" for i in range(n))
+    edges = "".join(f"e v0 v1 {t}\n" for t in range(1, n + 1))
+    path.write_text(f"tg 1\nt {n}\n{vertices}{edges}")
+    assert main(["check", "--g1", str(path), "--g2", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tgr: ") and "not always-connected" in captured.err

@@ -1,5 +1,7 @@
+import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -18,6 +20,7 @@ from tgr import (
     is_valid_relabel,
     validate_sequence,
 )
+from tgr import core
 
 import helpers
 from helpers import named, naive_bridges, op, te
@@ -83,6 +86,44 @@ def test_find_bridges_matches_naive_oracle_on_random_instances():
     for seed in range(1000):
         g = helpers.small_instance(seed)
         assert find_bridges(g) == naive_bridges(g), seed
+
+
+def test_static_bridges_matches_slow_references():
+    rng = random.Random(7)
+    disconnected = with_bridges = 0
+    for n, _ in itertools.product(range(10), range(40)):
+        every = list(itertools.combinations(range(n), 2))
+        pairs = rng.sample(every, rng.randint(0, min(len(every), 2 * n)))
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        dfs = core.static_bridges(n, pairs)
+        assert set(dfs.below) == helpers.naive_static_bridges(n, pairs), (n, pairs)
+        assert sorted(dfs.enter) == list(range(n))
+        for bridge, c in dfs.below.items():
+            assert c in bridge
+            side = {x for x in range(n) if dfs.enter[c] <= dfs.enter[x] < dfs.leave[c]}
+            assert side == helpers.naive_side(n, pairs, bridge, c), (n, pairs, bridge)
+        if n:
+            connected = all(helpers.reach(n, pairs))
+            assert (dfs.leave[0] == n) == connected
+            disconnected += not connected
+        with_bridges += bool(dfs.below)
+    assert disconnected >= 100 and with_bridges >= 100
+
+
+def test_connectivity_of_a_long_sparse_graph_is_decided_lazily():
+    n = 20_000
+    names = tuple(f"v{i}" for i in range(n))
+    g = TemporalGraph(names, n, frozenset(TemporalEdge(0, 1, t) for t in range(1, n + 1)))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        assert not is_always_connected(g)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 5 << 20, f"peak {peak} bytes"
 
 
 def test_is_valid_relabel_examples(tri, infeas):

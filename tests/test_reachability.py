@@ -4,6 +4,7 @@ from tgr import (
     GraphError,
     TemporalGraph,
     apply_relabel,
+    classify,
     find_bridges,
     is_crossing,
     reachability_partition,
@@ -67,6 +68,16 @@ def test_partition_rejects_non_bridge(tri):
         reachability_partition(g1, te(g1, "a", "c", 1))
     with pytest.raises(GraphError):
         reachability_partition(g1, te(g1, "a", "c", 2))
+
+
+def test_partition_rejects_disconnected_graph():
+    g = TemporalGraph.build(
+        "abcd", 2, [("a", "b", 1), ("c", "d", 1), ("a", "b", 2), ("b", "c", 2), ("c", "d", 2)]
+    )
+    with pytest.raises(GraphError, match="snapshot 1 is not connected"):
+        reachability_partition(g, te(g, "a", "b", 1))
+    with pytest.raises(GraphError, match="snapshot 1 is not connected"):
+        classify(g)
 
 
 def test_is_crossing_examples(chain2):
