@@ -81,7 +81,7 @@ def classify(g: TemporalGraph) -> ChangeTable:
     bridges = find_bridges(g)
     pending: dict[TemporalEdge, tuple[list[int], int, int]] = {}  # unleveled bridge -> its side
     for bridge in sorted(bridges):
-        dfs = g._dfs[bridge.t]
+        dfs = g._dfs(bridge.t)
         c = dfs.below[bridge.pair]
         pending[bridge] = (dfs.enter, dfs.enter[c], dfs.leave[c])
     frontier = sorted(e for e in g.edges if e not in bridges)

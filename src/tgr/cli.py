@@ -341,10 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, GraphError) as exc:
-        print(f"tgr: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, GraphError, OSError) as exc:
         print(f"tgr: {exc}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,11 @@
 
 A temporal graph is a fixed vertex set together with a set of undirected
 edges, each active at one integer time in ``1..lifetime``.  Vertices are
-dense indices internally; a name table maps them to external tokens.  All
-operations are pure: relabeling an edge returns a new graph value.  One
+dense indices internally; a name table maps them to external tokens.  One
 lowlink DFS per snapshot (``static_bridges``, cached on the graph) gives
-its connectivity, its bridges and each bridge's two sides.
+its connectivity, its bridges and each bridge's two sides.  All operations
+are pure: relabeling an edge returns a new graph value, which keeps the
+cached DFS of every snapshot the relabel leaves alone.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -47,10 +46,10 @@ class RelabelOp(NamedTuple):
         return (self.u, self.v)
 
     def source(self) -> TemporalEdge:
-        return TemporalEdge(self.u, self.v, self.from_time)
+        return TemporalEdge(min(self.u, self.v), max(self.u, self.v), self.from_time)
 
     def target(self) -> TemporalEdge:
-        return TemporalEdge(self.u, self.v, self.to_time)
+        return TemporalEdge(min(self.u, self.v), max(self.u, self.v), self.to_time)
 
     def inverse(self) -> "RelabelOp":
         return RelabelOp(self.u, self.v, self.to_time, self.from_time)
@@ -77,11 +76,18 @@ class TemporalGraph:
             self, "edges", frozenset(TemporalEdge(*e) for e in self.edges)
         )
         n = len(self.names)
+        edges_at: dict[int, list[TemporalEdge]] = {}
         for e in self.edges:
             if not 0 <= e.u < e.v < n:
                 raise GraphError(f"bad edge endpoints {e!r} for {n} vertices")
             if not 1 <= e.t <= self.lifetime:
                 raise GraphError(f"edge time out of range: {e!r}")
+            edges_at.setdefault(e.t, []).append(e)
+        # The edges by time, and ``static_bridges`` of each snapshot asked
+        # for so far.  An entry depends only on its snapshot's edges, so a
+        # relabel's result shares those of the snapshots it leaves alone.
+        object.__setattr__(self, "_edges_at", edges_at)
+        object.__setattr__(self, "_dfs_at", {})
 
     @classmethod
     def build(
@@ -136,36 +142,27 @@ class TemporalGraph:
         """Static edges active at time ``t``, in canonical order."""
         if not 1 <= t <= self.lifetime:
             raise GraphError(f"snapshot time {t} outside 1..{self.lifetime}")
-        return tuple(sorted(e.pair for e in self.edges if e.t == t))
+        return tuple(sorted(e.pair for e in self._edges_at.get(t, ())))
+
+    def _dfs(self, t: int) -> StaticBridges:
+        """``static_bridges`` of snapshot ``t``; cached on the graph."""
+        if t not in self._dfs_at:
+            self._dfs_at[t] = static_bridges(self.n, [e.pair for e in self._edges_at.get(t, ())])
+        return self._dfs_at[t]
 
     @cached_property
-    def _dfs(self) -> dict[int, StaticBridges]:
-        """``static_bridges`` of each snapshot in time order, stopping before
-        the first disconnected one; cached on the graph.  An empty snapshot
-        is disconnected when n >= 2, so this stops by time M + 1."""
-        out: dict[int, StaticBridges] = {}
-        by_time = attrgetter("t")
-        for t, group in groupby(sorted(self.edges, key=by_time), by_time):
-            if t > len(out) + 1:
-                break  # snapshot len(out) + 1 is empty
-            dfs = static_bridges(self.n, [e.pair for e in group])
-            if dfs.leave[0] < self.n:
-                break
-            out[t] = dfs
-        return out
-
-    @property
     def _disconnected_at(self) -> int | None:
-        """Earliest time whose snapshot is not connected, or None."""
-        t = len(self._dfs) + 1
-        return t if self.n > 1 and t <= self.lifetime else None
+        """Earliest time whose snapshot is not connected, or None; cached.
+        With n >= 2 an empty snapshot is disconnected, so this stops by M + 1."""
+        times = range(1, self.lifetime + 1) if self.n > 1 else ()
+        return next((t for t in times if self._dfs(t).leave[0] < self.n), None)
 
     @cached_property
     def _bridges(self) -> frozenset[TemporalEdge]:
         """Bridges of every snapshot; cached on the graph.  Meaningful only
-        when always-connected."""
+        when always-connected, when every snapshot is in the cache."""
         return frozenset(
-            TemporalEdge(u, v, t) for t, dfs in self._dfs.items() for u, v in dfs.below
+            TemporalEdge(u, v, t) for t, dfs in self._dfs_at.items() for u, v in dfs.below
         )
 
     def sorted_edges(self) -> list[TemporalEdge]:
@@ -173,9 +170,6 @@ class TemporalGraph:
 
     def pair_counts(self) -> Counter:
         return Counter(e.pair for e in self.edges)
-
-    def with_edges(self, edges: Iterable[TemporalEdge]) -> "TemporalGraph":
-        return TemporalGraph(self.names, self.lifetime, frozenset(edges))
 
 
 @dataclass(frozen=True)
@@ -271,31 +265,38 @@ def require_endpoints(*graphs: TemporalGraph) -> None:
 def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     """All temporal edges whose removal disconnects their snapshot.
 
-    Requires an always-connected input; each snapshot is processed once in
-    linear time, the first time a graph is asked.
+    Requires an always-connected input.  Each snapshot's DFS runs once per
+    graph, the first time it is asked for; a graph made by ``apply_relabel``
+    reruns it only for the two snapshots the relabel touched.
     """
     if g._disconnected_at is not None:
         raise GraphError(f"snapshot {g._disconnected_at} is not connected")
     return g._bridges
 
 
-def _relabel_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
-    """Why ``op`` is not a valid relabel of the always-connected ``g``:
-    "malformed", "missing_edge", "collision" or "disconnects"; None when it
-    is valid.  A relabel keeps every snapshot connected exactly when it
-    moves a non-bridge to a free slot of its pair.
-    """
-    u, v = min(op.u, op.v), max(op.u, op.v)
-    times_ok = 1 <= op.from_time <= g.lifetime and 1 <= op.to_time <= g.lifetime
-    if not (0 <= u < v < g.n and times_ok) or op.from_time == op.to_time:
+def _slot_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
+    """The slot rule: "malformed" (a vertex or time out of range, a self-loop,
+    or no change of time), "missing_edge" (no edge at the source),
+    "collision" (the target is taken), or None when the edge can move."""
+    src, tgt = op.source(), op.target()
+    times_ok = 1 <= src.t <= g.lifetime and 1 <= tgt.t <= g.lifetime
+    if not (0 <= src.u < src.v < g.n and times_ok) or src.t == tgt.t:
         return "malformed"
-    if TemporalEdge(u, v, op.from_time) not in g.edges:
+    if src not in g.edges:
         return "missing_edge"
-    if TemporalEdge(u, v, op.to_time) in g.edges:
+    if tgt in g.edges:
         return "collision"
-    if (u, v) in static_bridges(g.n, g.snapshot(op.from_time)).below:
-        return "disconnects"
     return None
+
+
+def _relabel_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
+    """Why ``op`` is not a valid relabel of the always-connected ``g``: the
+    slot rule's verdict, or "disconnects" when it moves a bridge of its
+    snapshot, the only way a relabel can disconnect one; None if valid."""
+    fault = _slot_fault(g, op)
+    if fault is None and op.source().pair in g._dfs(op.from_time).below:
+        return "disconnects"
+    return fault
 
 
 def is_valid_relabel(g: TemporalGraph, op: RelabelOp) -> bool:
@@ -311,21 +312,23 @@ def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
     """Move one temporal edge; returns a new graph, input untouched.
 
     Does not require the relabel to be *valid* (connectivity-preserving);
-    it only enforces the slot semantics, so callers can explore invalid
-    moves and detect them afterwards.
+    it only enforces the slot rule, so callers can explore invalid moves
+    and detect them afterwards.  The result is derived from ``g``: it keeps
+    the cached DFS of every snapshot the relabel leaves alone.
     """
-    u, v = op.u, op.v
-    if u > v:
-        u, v = v, u
-    if op.from_time == op.to_time:
-        raise GraphError("relabel must change the time")
-    src = TemporalEdge(u, v, op.from_time)
-    tgt = TemporalEdge(u, v, op.to_time)
-    if src not in g.edges:
-        raise GraphError(f"source temporal edge not present: {src!r}")
-    if tgt in g.edges:
-        raise GraphError(f"target slot already occupied: {tgt!r}")
-    return g.with_edges(g.edges - {src} | {tgt})
+    fault = _slot_fault(g, op)
+    if fault is not None:
+        raise GraphError(f"cannot apply {op!r}: {fault}")
+    src, tgt = op.source(), op.target()
+    edges_at = dict(g._edges_at)
+    edges_at[src.t] = [e for e in edges_at[src.t] if e != src]
+    edges_at[tgt.t] = edges_at.get(tgt.t, []) + [tgt]
+    out = object.__new__(TemporalGraph)  # no constructor: g and the two slots are checked
+    out.__dict__.update(
+        names=g.names, lifetime=g.lifetime, edges=g.edges - {src} | {tgt}, _edges_at=edges_at,
+        _dfs_at={t: dfs for t, dfs in g._dfs_at.items() if t not in (src.t, tgt.t)},
+    )
+    return out
 
 
 def validate_sequence(

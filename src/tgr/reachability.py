@@ -32,7 +32,7 @@ def reachability_partition(g: TemporalGraph, bridge: TemporalEdge) -> Reachabili
         raise GraphError(f"not a temporal edge of the graph: {bridge!r}")
     if bridge not in find_bridges(g):
         raise GraphError(f"not a bridge: {bridge!r}")
-    dfs = g._dfs[bridge.t]
+    dfs = g._dfs(bridge.t)
     c = dfs.below[bridge.pair]
     side_c = frozenset(x for x in range(g.n) if dfs.enter[c] <= dfs.enter[x] < dfs.leave[c])
     rest = frozenset(range(g.n)) - side_c

@@ -158,7 +158,7 @@ def random_compatible_target(g: TemporalGraph, rng: random.Random, tries: int = 
         for (u, v), c in counts:
             for t in rng.sample(range(1, g.lifetime + 1), c):
                 edges.append(TemporalEdge(u, v, t))
-        cand = g.with_edges(edges)
+        cand = TemporalGraph(g.names, g.lifetime, frozenset(edges))
         if is_always_connected(cand):
             return cand
     return None

@@ -21,6 +21,7 @@ from tgr import (
     validate_sequence,
 )
 from tgr import core
+from tgr.changeability import classify
 
 import helpers
 from helpers import named, naive_bridges, op, te
@@ -53,7 +54,7 @@ def test_always_connected_fixtures(tri, infeas, chain2):
 
 def test_always_connected_negative(tri):
     g1, _ = tri
-    broken = g1.with_edges(g1.edges - {te(g1, "a", "b", 2)})
+    broken = TemporalGraph(g1.names, g1.lifetime, g1.edges - {te(g1, "a", "b", 2)})
     assert not is_always_connected(broken)
 
 
@@ -182,6 +183,80 @@ def test_apply_relabel_errors(tri):
     with pytest.raises(GraphError):
         apply_relabel(g1, RelabelOp(0, 1, 1, 1))  # no time change
     assert te(g1, "a", "c", 1) in g1.edges  # input graph unmodified
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        RelabelOp(0, 1, 1, 3),  # to_time = lifetime + 1
+        RelabelOp(0, 1, 1, 0),  # to_time = 0
+        RelabelOp(0, 3, 1, 2),  # a vertex >= n
+        RelabelOp(1, 1, 1, 2),  # u == v
+    ],
+)
+def test_apply_relabel_rejects_out_of_range_ops(tri, bad):
+    # apply_relabel derives its result without the constructor, so the slot
+    # rule alone must keep vertices and times in range
+    g1, _ = tri
+    before = _answers(g1)
+    with pytest.raises(GraphError, match="malformed"):
+        apply_relabel(g1, bad)
+    assert core._relabel_fault(g1, bad) == "malformed"
+    assert _answers(g1) == before
+    assert _answers(TemporalGraph(g1.names, g1.lifetime, g1.edges)) == before
+
+
+def _candidate_ops(g):
+    return [
+        RelabelOp(e.u, e.v, e.t, t2)
+        for e in sorted(g.edges)
+        for t2 in range(1, g.lifetime + 1)
+        if t2 != e.t
+    ]
+
+
+def _answers(g):
+    """Everything ``g`` answers from its per-snapshot cache."""
+    out = {
+        "snapshots": [g.snapshot(t) for t in range(1, g.lifetime + 1)],
+        "connected": is_always_connected(g),
+        "valid": [is_valid_relabel(g, o) for o in _candidate_ops(g)],
+    }
+    if out["connected"]:
+        table = classify(g)
+        out.update(bridges=find_bridges(g), levels=table.levels, back_refs=table.back_refs)
+    else:
+        with pytest.raises(GraphError) as exc:
+            find_bridges(g)
+        out["bridges"] = str(exc.value)
+    return out
+
+
+def test_derived_graphs_match_freshly_built_ones():
+    # seeded walks of slot-legal relabels, disconnecting ones included, so
+    # that cache entries are carried across disconnected snapshots as well
+    starts = [helpers.small_instance(seed) for seed in range(40)]
+    starts += [generate_random_instance(6, 4, 1, seed) for seed in range(12)]
+    derived = disconnected = carried_past_disconnected = 0
+    for i, g in enumerate(starts):
+        rng = random.Random(i)
+        cur, cur_answers = g, _answers(g)
+        for _ in range(6):
+            moves = [o for o in _candidate_ops(cur) if core._slot_fault(cur, o) is None]
+            if not moves:
+                break
+            o = rng.choice(moves)
+            nxt = apply_relabel(cur, o)
+            fresh = TemporalGraph(cur.names, cur.lifetime, nxt.edges)
+            assert nxt == fresh and hash(nxt) == hash(fresh)
+            assert _answers(nxt) == _answers(fresh), (i, o)
+            assert _answers(cur) == cur_answers  # the input is untouched
+            if cur._disconnected_at not in (None, o.from_time, o.to_time):
+                carried_past_disconnected += 1
+            derived += 1
+            disconnected += not is_always_connected(nxt)
+            cur, cur_answers = nxt, _answers(nxt)
+    assert derived >= 150 and disconnected >= 50 and carried_past_disconnected >= 10
 
 
 def test_validate_sequence_ok(tri):

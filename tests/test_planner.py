@@ -13,10 +13,12 @@ from tgr import (
     decrease_difference,
     difference,
     feasible,
+    generate_random_instance,
     is_always_connected,
     plan,
     validate_sequence,
 )
+from tgr import core
 from tgr.core import is_valid_relabel
 
 import helpers
@@ -197,13 +199,38 @@ def test_target_not_always_connected_is_rejected(seed):
     g1 = helpers.small_instance(seed)
     rng = random.Random(seed)
     while True:
-        g2 = g1.with_edges(
+        g2 = TemporalGraph(g1.names, g1.lifetime, frozenset(
             TemporalEdge(u, v, t)
             for (u, v), count in sorted(g1.pair_counts().items())
             for t in rng.sample(range(1, g1.lifetime + 1), count)
-        )
+        ))
         if not is_always_connected(g2):
             break
     for query in (feasible, plan, decrease_difference):
         with pytest.raises(GraphError, match="not always-connected"):
             query(g1, g2)
+
+
+def test_plan_reruns_the_dfs_only_of_snapshots_a_relabel_touched(monkeypatch):
+    # desk-shaped pair: `tgr gen 60 6 60` and 8 valid relabels on distinct
+    # pairs; each phase re-classifies, and a relabel changes two snapshots
+    rng = random.Random(3)
+    g1 = generate_random_instance(60, 6, 60, 3)
+    g2, moved = g1, set()
+    while len(moved) < 8:
+        o = rng.choice(helpers.all_valid_moves(g2))
+        if o.pair not in moved:
+            moved.add(o.pair)
+            g2 = apply_relabel(g2, o)
+    g1, g2 = (TemporalGraph(g.names, g.lifetime, g.edges) for g in (g1, g2))  # empty caches
+    real = core.static_bridges
+    calls = []
+
+    def counting(n, pairs):
+        calls.append(n)
+        return real(n, pairs)
+
+    monkeypatch.setattr(core, "static_bridges", counting)
+    out = plan(g1, g2)
+    assert isinstance(out, Feasible) and len(out.sequence) >= 8
+    assert len(calls) <= 2 * g1.lifetime + 2 * len(out.sequence)
