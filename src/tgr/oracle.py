@@ -3,17 +3,16 @@ relabels: shortest sequences, reachability, and minimal step counts for
 turning a given edge into a non-bridge.  Ground truth at small scale for
 everything the fast algorithms claim.
 
-States are plain edge sets (vertex table and lifetime are fixed).  A state
+States are ``int`` bitmasks over the fixed (pair, time) slots.  A state
 expands by moving any non-bridge to any free slot of its pair; such a move
 always preserves the always-connected property, so every visited state is
-valid by construction.
+valid by construction.  All searches share one level-expansion step.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,76 +56,123 @@ def canonical_state(g: TemporalGraph) -> CanonicalState:
     return tuple(g.sorted_edges())
 
 
-def _snapshot_bridge_sets(n: int, lifetime: int, state: frozenset[TemporalEdge]):
-    by_t: dict[int, list[tuple[int, int]]] = {t: [] for t in range(1, lifetime + 1)}
-    for e in state:
-        by_t[e.t].append(e.pair)
-    return {t: static_bridges(n, pairs).below for t, pairs in by_t.items()}
+class _Slots:
+    """The states of one search.  Bit ``p·T + t − 1`` holds the edge of
+    ``pairs[p]`` at time ``t``; the pairs are sorted, so ascending bits list
+    a state's edges in canonical (``sorted``) order, and a relabel is
+    ``state ^ src_bit ^ dst_bit``."""
+
+    def __init__(self, *graphs: TemporalGraph):
+        self.n, self.lifetime = graphs[0].n, graphs[0].lifetime
+        pairs = sorted({e.pair for g in graphs for e in g.edges})
+        slots = [TemporalEdge(u, v, t) for u, v in pairs for t in range(1, self.lifetime + 1)]
+        self.bit = {e: 1 << i for i, e in enumerate(slots)}
+        self.ends = [sum(map(self.bit.__getitem__, g.edges)) for g in graphs]  # the graphs' states
+
+    def edges(self, mask: int) -> list[TemporalEdge]:
+        return [e for e, bit in self.bit.items() if mask & bit]
+
+    def op(self, before: int, after: int) -> RelabelOp:
+        """The relabel that turns ``before`` into ``after``."""
+        (src,), (dst,) = self.edges(before & ~after), self.edges(after & ~before)
+        return RelabelOp(src.u, src.v, src.t, dst.t)
+
+    def nonbridges(self, state: int) -> int:
+        """The non-bridges of ``state``: one ``static_bridges`` per snapshot."""
+        edges, out = self.edges(state), 0
+        for t in range(1, self.lifetime + 1):
+            below = static_bridges(self.n, [e.pair for e in edges if e.t == t]).below
+            out |= sum(self.bit[e] for e in edges if e.t == t and e.pair not in below)
+        return out
 
 
-def _moves(n: int, lifetime: int, state: frozenset[TemporalEdge]):
-    """Valid relabels out of an always-connected state, in canonical order."""
-    bridges = _snapshot_bridge_sets(n, lifetime, state)
-    for e in sorted(state):
-        if e.pair in bridges[e.t]:
+def _expand(space: _Slots, level: list[int], parents: dict, room: int | None,
+            visit: Callable[[int], bool] = lambda nonbridges: False, meet=()):
+    """Grow one whole BFS level in canonical move order.  Each state's
+    non-bridge mask is computed once and shown to ``visit`` first; a true
+    answer ends the step as ``("visit", None)``.  With ``room`` None the
+    level is only visited.  A successor new to ``parents`` is recorded there
+    with its parent, unless it ends the step: one in ``meet`` as ``("meet",
+    (state, successor))``, one past ``room`` states as ``("budget", None)``.
+    Else the step returns ``("next", next_level)``."""
+    nxt = []
+    for state in level:
+        nonbridges = space.nonbridges(state)
+        if visit(nonbridges):
+            return "visit", None
+        if room is None:
             continue
-        for t2 in range(1, lifetime + 1):
-            if t2 == e.t or TemporalEdge(e.u, e.v, t2) in state:
-                continue
-            yield RelabelOp(e.u, e.v, e.t, t2), state - {e} | {TemporalEdge(e.u, e.v, t2)}
+        for e in space.edges(nonbridges):
+            src = space.bit[e]
+            for dst in (src >> e.t - 1 << t for t in range(space.lifetime)):
+                succ = state ^ src ^ dst
+                if state & dst or succ in parents:
+                    continue
+                if succ in meet:
+                    return "meet", (state, succ)
+                if len(parents) >= room:
+                    return "budget", None
+                parents[succ] = state
+                nxt.append(succ)
+    return "next", nxt
 
 
-def _bfs(
-    g: TemporalGraph, budget: OracleBudget, goal: Callable[[frozenset, int], bool]
-) -> tuple[str, tuple[RelabelOp, ...] | None]:
-    """Breadth-first search over the graphs reachable from ``g``.
-
-    ``goal(state, depth)`` is called once on every state when it is first
-    discovered, the start included; the search stops at the first state it
-    accepts.  Returns ``("found", ops)`` with a shortest sequence to that
-    state, ``("budget", None)`` when ``max_states`` or ``max_depth`` cut the
-    search short, or ``("exhausted", None)``.
-    """
-    start = g.edges
-    if goal(start, 0):
-        return "found", ()
-    parents: dict[frozenset, tuple[RelabelOp, frozenset] | None] = {start: None}
-    queue: deque[tuple[frozenset, int]] = deque([(start, 0)])
-    depth_capped = False
-    while queue:
-        state, depth = queue.popleft()
-        if budget.max_depth is not None and depth >= budget.max_depth:
-            depth_capped = True
-            continue
-        for op, nxt in _moves(g.n, g.lifetime, state):
-            if nxt in parents:
-                continue
-            if goal(nxt, depth + 1):
-                ops = [op]
-                while parents[state] is not None:
-                    op, state = parents[state]
-                    ops.append(op)
-                return "found", tuple(reversed(ops))
-            if len(parents) >= budget.max_states:
-                return "budget", None
-            parents[nxt] = (op, state)
-            queue.append((nxt, depth + 1))
-    return ("budget" if depth_capped else "exhausted"), None
+def _forward(space: _Slots, budget: OracleBudget, goal: Callable[[int, int], bool]):
+    """BFS from the space's graph.  ``goal(nonbridges, depth)`` sees every
+    state once, in BFS order; the search stops at the first it accepts.
+    Returns ``("found", depth)``, ``("budget", None)`` when ``max_states`` or
+    ``max_depth`` cut the search short, or ``("exhausted", None)``."""
+    level, depth = space.ends, 0
+    parents = dict.fromkeys(level)
+    while level:
+        capped = budget.max_depth is not None and depth >= budget.max_depth
+        status, level = _expand(space, level, parents, None if capped else budget.max_states,
+                                lambda nonbridges: goal(nonbridges, depth))
+        if status == "visit":
+            return "found", depth
+        if status == "budget" or capped:
+            return "budget", None
+        depth += 1
+    return "exhausted", None
 
 
 def oracle_shortest_sequence(
     g1: TemporalGraph, g2: TemporalGraph, budget: OracleBudget = OracleBudget()
 ) -> SearchOutcome:
-    """Provably shortest valid sequence from g1 to g2, by exhaustive BFS.
-
-    "unreachable" is only reported when the whole reachable component was
-    enumerated within budget.  The moment a cap bites, minimality of any
-    later find would be unprovable, so the search stops with "budget".
+    """Provably shortest valid sequence from g1 to g2, by bidirectional BFS
+    (Pohl 1971): valid relabels are reversible, so a BFS grows from each
+    end, a whole level of the smaller frontier at a time.  With no meet at
+    depths (a, b) the distance exceeds a + b, so the first new state the
+    other side has seen closes a shortest sequence.  ``max_states`` bounds
+    the states both sides hold, ``max_depth`` the length.  "unreachable" is
+    only reported when one side enumerated its whole component within
+    budget; once a cap bites, the search stops with "budget".
     """
     require_endpoints(g1, g2)
-    goal = g2.edges
-    status, ops = _bfs(g1, budget, lambda state, _: state == goal)
-    return SearchOutcome("unreachable" if status == "exhausted" else status, ops)
+    space = _Slots(g1, g2)
+    levels = [[end] for end in space.ends]  # forward, backward
+    if levels[0] == levels[1]:
+        return SearchOutcome("found", ())
+    parents = [dict.fromkeys(level) for level in levels]
+    length = 0  # the depths of both sides together
+    while levels[0] and levels[1]:
+        if budget.max_depth is not None and length >= budget.max_depth:
+            return SearchOutcome("budget")
+        side = 1 if len(levels[1]) < len(levels[0]) else 0
+        other = parents[1 - side]
+        status, out = _expand(space, levels[side], parents[side], budget.max_states - len(other), meet=other)
+        if status == "budget":
+            return SearchOutcome("budget")
+        if status == "meet":
+            path = list(out if side == 0 else out[::-1])  # a forward state, then a backward one
+            while parents[0][path[0]] is not None:
+                path.insert(0, parents[0][path[0]])
+            while parents[1][path[-1]] is not None:
+                path.append(parents[1][path[-1]])
+            return SearchOutcome("found", tuple(map(space.op, path, path[1:])))
+        levels[side] = out
+        length += 1
+    return SearchOutcome("unreachable")
 
 
 def oracle_min_steps_to_nonbridge(
@@ -142,15 +188,10 @@ def oracle_min_steps_to_nonbridge(
     require_endpoints(g)
     if target not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {target!r}")
-
-    def nonbridge(state, _):
-        return target in state and target.pair not in static_bridges(
-            g.n, [e.pair for e in state if e.t == target.t]
-        ).below
-
-    status, ops = _bfs(g, budget, nonbridge)
+    space = _Slots(g)
+    status, depth = _forward(space, budget, lambda nonbridges, _: nonbridges & space.bit[target])
     if status == "found":
-        return MinStepsOutcome("steps", len(ops))
+        return MinStepsOutcome("steps", depth)
     return MinStepsOutcome("never" if status == "exhausted" else status)
 
 
@@ -164,16 +205,14 @@ def oracle_min_steps_map(
     graph.  Cheaper than one single-target search per edge.
     """
     require_endpoints(g)
+    space = _Slots(g)
     first: dict[TemporalEdge, int] = {}
 
-    def record(state, depth):
-        bridges = _snapshot_bridge_sets(g.n, g.lifetime, state)
-        for e in state:
-            if e not in first and e.pair not in bridges[e.t]:
-                first[e] = depth
+    def record(nonbridges, depth):
+        first.update((e, depth) for e in space.edges(nonbridges) if e not in first)
         return False
 
-    status, _ = _bfs(g, budget, record)
+    status, _ = _forward(space, budget, record)
     return first, status == "exhausted"
 
 

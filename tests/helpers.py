@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Callable
 
 from tgr import (
     ChangeTable,
+    OracleBudget,
     RelabelOp,
+    SearchOutcome,
     TemporalEdge,
     TemporalGraph,
     apply_relabel,
@@ -14,6 +18,7 @@ from tgr import (
     generate_random_instance,
     is_always_connected,
 )
+from tgr.core import require_endpoints, static_bridges
 
 
 def reach(n: int, pairs, start: int = 0) -> list[bool]:
@@ -229,3 +234,106 @@ def reference_classify(g: TemporalGraph) -> ChangeTable:
             k += 1
             max_level = k
     return ChangeTable(g.edges, levels, back_refs, max_level)
+
+
+# ---------------------------------------------------------------------------
+# Slow reference for the oracle: a forward BFS over frozenset states.
+
+def _snapshot_bridge_sets(n: int, lifetime: int, state: frozenset[TemporalEdge]):
+    by_t: dict[int, list[tuple[int, int]]] = {t: [] for t in range(1, lifetime + 1)}
+    for e in state:
+        by_t[e.t].append(e.pair)
+    return {t: static_bridges(n, pairs).below for t, pairs in by_t.items()}
+
+
+def _moves(n: int, lifetime: int, state: frozenset[TemporalEdge]):
+    """Valid relabels out of an always-connected state, in canonical order."""
+    bridges = _snapshot_bridge_sets(n, lifetime, state)
+    for e in sorted(state):
+        if e.pair in bridges[e.t]:
+            continue
+        for t2 in range(1, lifetime + 1):
+            if t2 == e.t or TemporalEdge(e.u, e.v, t2) in state:
+                continue
+            yield RelabelOp(e.u, e.v, e.t, t2), state - {e} | {TemporalEdge(e.u, e.v, t2)}
+
+
+def _bfs(
+    g: TemporalGraph, budget: OracleBudget, goal: Callable[[frozenset, int], bool]
+) -> tuple[str, tuple[RelabelOp, ...] | None]:
+    """Breadth-first search over the graphs reachable from ``g``.
+
+    ``goal(state, depth)`` is called once on every state when it is first
+    discovered, the start included; the search stops at the first state it
+    accepts.  Returns ``("found", ops)`` with a shortest sequence to that
+    state, ``("budget", None)`` when ``max_states`` or ``max_depth`` cut the
+    search short, or ``("exhausted", None)``.
+    """
+    start = g.edges
+    if goal(start, 0):
+        return "found", ()
+    parents: dict[frozenset, tuple[RelabelOp, frozenset] | None] = {start: None}
+    queue: deque[tuple[frozenset, int]] = deque([(start, 0)])
+    depth_capped = False
+    while queue:
+        state, depth = queue.popleft()
+        if budget.max_depth is not None and depth >= budget.max_depth:
+            depth_capped = True
+            continue
+        for op, nxt in _moves(g.n, g.lifetime, state):
+            if nxt in parents:
+                continue
+            if goal(nxt, depth + 1):
+                ops = [op]
+                while parents[state] is not None:
+                    op, state = parents[state]
+                    ops.append(op)
+                return "found", tuple(reversed(ops))
+            if len(parents) >= budget.max_states:
+                return "budget", None
+            parents[nxt] = (op, state)
+            queue.append((nxt, depth + 1))
+    return ("budget" if depth_capped else "exhausted"), None
+
+
+def reference_shortest_sequence(
+    g1: TemporalGraph, g2: TemporalGraph, budget: OracleBudget = OracleBudget()
+) -> SearchOutcome:
+    """Slow reference for ``oracle_shortest_sequence``: forward BFS from g1
+    until it discovers g2."""
+    require_endpoints(g1, g2)
+    goal = g2.edges
+    status, ops = _bfs(g1, budget, lambda state, _: state == goal)
+    return SearchOutcome("unreachable" if status == "exhausted" else status, ops)
+
+
+def reference_min_steps_map(
+    g: TemporalGraph, budget: OracleBudget = OracleBudget()
+) -> tuple[dict[TemporalEdge, int], bool]:
+    """Slow reference for ``oracle_min_steps_map``."""
+    require_endpoints(g)
+    first: dict[TemporalEdge, int] = {}
+
+    def record(state, depth):
+        bridges = _snapshot_bridge_sets(g.n, g.lifetime, state)
+        for e in state:
+            if e not in first and e.pair not in bridges[e.t]:
+                first[e] = depth
+        return False
+
+    status, _ = _bfs(g, budget, record)
+    return first, status == "exhausted"
+
+
+def reachable_graphs(g: TemporalGraph) -> set[frozenset[TemporalEdge]]:
+    """Edge sets of every graph that valid relabels reach from ``g``."""
+    seen = {g.edges}
+    stack = [g]
+    while stack:
+        cur = stack.pop()
+        for o in all_valid_moves(cur):
+            nxt = apply_relabel(cur, o)
+            if nxt.edges not in seen:
+                seen.add(nxt.edges)
+                stack.append(nxt)
+    return seen

@@ -229,10 +229,8 @@ def test_criterion_7_hardness_structural_properties():
 
 def test_criterion_8_hardness_reverse_degenerate_cases():
     # the cover<=>short-sequence equivalence is oracle-checked here on the
-    # |E| <= 1 reductions (26 temporal edges at |E| = 1, well under a
-    # second); the |E| = 2 path a-b-c with k = 1 (47 edges) is also within
-    # exhaustive reach but takes about 17 s, so perfbench's oracle_path2
-    # workload certifies it instead (see the README)
+    # |E| <= 1 reductions (26 temporal edges at |E| = 1) and on the |E| = 2
+    # path a-b-c (47 edges), each well under a second
     with criterion(8, "hardness reverse direction (degenerate)"):
         # |E| = 0: the empty cover always exists, and the graphs are equal
         red0 = build_reduction(VCInstance.build(["x", "y"], [], 0))
@@ -257,6 +255,25 @@ def test_criterion_8_hardness_reverse_degenerate_cases():
         out = oracle_shortest_sequence(red_k0.g1, red_k0.g2, budget)
         assert out.status == "found"
         assert len(out.sequence) == 6 > red_k0.ell
+
+        # |E| = 2, the path a-b-c, k = 1: the cover {b} exists and the
+        # shortest sequence is exactly ell = 10
+        path = [("a", "b"), ("b", "c")]
+        inst2 = VCInstance.build("abc", path, 1)
+        red2 = build_reduction(inst2)
+        assert brute_force_vertex_cover(inst2) == ("b",)
+        out = oracle_shortest_sequence(red2.g1, red2.g2, budget)
+        assert out.status == "found"
+        assert len(out.sequence) == 10 == red2.ell
+        assert validate_sequence(red2.g1, out.sequence, red2.g2).ok
+
+        # |E| = 2, k = 0: no cover, and no sequence of length <= ell = 8
+        inst2_k0 = VCInstance.build("abc", path, 0)
+        red2_k0 = build_reduction(inst2_k0)
+        assert brute_force_vertex_cover(inst2_k0) is None
+        out = oracle_shortest_sequence(red2_k0.g1, red2_k0.g2, budget)
+        assert out.status == "found"
+        assert len(out.sequence) == 10 > red2_k0.ell == 8
 
 
 # 4-vertex pair with a certified shortest sequence of length 4; substitute

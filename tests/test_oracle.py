@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+import tgr.oracle
 from tgr import (
     GraphError,
     MinStepsOutcome,
     OracleBudget,
+    TemporalGraph,
     canonical_state,
     generate_random_instance,
     find_bridges,
+    is_always_connected,
     oracle_min_steps_map,
     oracle_min_steps_to_nonbridge,
     oracle_shortest_sequence,
@@ -162,3 +165,81 @@ def test_unreachable_iff_infeasible_on_exhausted_instances():
         assert out.status in ("found", "unreachable")
         ok, _ = feasible(g, h)
         assert ok == (out.status == "found"), seed
+
+
+def _differential_pairs():
+    """The 500 criterion-2 pairs, 200 perturbation walks and the fixtures."""
+    from test_acceptance import FIG1_G1, FIG1_G2, FIG1_NAMES
+
+    pairs = []
+    seed = 0
+    while len(pairs) < 500:
+        g = helpers.small_instance(seed)
+        h = helpers.random_compatible_target(g, random.Random(10_000 + seed))
+        seed += 1
+        if h is not None:
+            pairs.append((g, h))
+    rng = random.Random(70)
+    for seed in range(200):
+        g = helpers.small_instance(70_000 + seed)
+        pairs.append((g, helpers.perturb(g, rng.randint(1, 8), rng)))
+    pairs += [helpers.tri_pair(), helpers.infeas_pair()]
+    pairs.append(tuple(TemporalGraph.build(FIG1_NAMES, 2, es) for es in (FIG1_G1, FIG1_G2)))
+    return pairs
+
+
+def test_shortest_sequence_matches_reference():
+    statuses = set()
+    for g, h in _differential_pairs():
+        ref = helpers.reference_shortest_sequence(g, h)
+        out = oracle_shortest_sequence(g, h)
+        assert out.status == ref.status, (g, h)
+        statuses.add(out.status)
+        if out.status == "found":
+            assert len(out.sequence) == len(ref.sequence), (g, h)
+            assert validate_sequence(g, out.sequence, h).ok, (g, h)
+        for d in range(4):
+            capped = oracle_shortest_sequence(g, h, OracleBudget(max_depth=d))
+            ref_capped = helpers.reference_shortest_sequence(g, h, OracleBudget(max_depth=d))
+            assert (capped.status == "found") == (ref_capped.status == "found"), (g, h, d)
+            if capped.status == "found":
+                assert len(capped.sequence) == len(out.sequence) <= d, (g, h, d)
+                assert validate_sequence(g, capped.sequence, h).ok, (g, h, d)
+            # "unreachable" stays a conclusive answer under a depth cap
+            assert capped.status != "unreachable" or ref.status == "unreachable", (g, h, d)
+    assert statuses == {"found", "unreachable"}
+
+
+def test_min_steps_match_reference():
+    for seed in range(200):
+        g = helpers.small_instance(seed)
+        first, exhausted = oracle_min_steps_map(g)
+        assert (first, exhausted) == helpers.reference_min_steps_map(g), seed
+        assert exhausted
+        for e in sorted(g.edges):
+            want = MinStepsOutcome("steps", first[e]) if e in first else MinStepsOutcome("never")
+            assert oracle_min_steps_to_nonbridge(g, e) == want, (seed, e)
+
+
+@pytest.mark.parametrize("graph", [helpers.chain2(), helpers.small_instance(17)], ids=["chain2", "seed17"])
+def test_min_steps_map_runs_one_dfs_per_snapshot_of_each_state(graph, monkeypatch):
+    assert is_always_connected(graph)  # the endpoint check reads this cached DFS, not the count
+    calls = []
+    real = tgr.oracle.static_bridges
+    monkeypatch.setattr(tgr.oracle, "static_bridges", lambda *args: calls.append(1) or real(*args))
+    first, exhausted = oracle_min_steps_map(graph)
+    assert exhausted and first
+    states = len(helpers.reachable_graphs(graph))
+    assert states > 1
+    assert len(calls) <= graph.lifetime * states
+
+
+def test_both_search_sides_share_the_state_budget():
+    # a-b-c path reduction (47 temporal edges): the two sides meet holding
+    # 4,383 states together, where a forward search discovers 177,031
+    from tgr import VCInstance, build_reduction
+
+    red = build_reduction(VCInstance.build("abc", [("a", "b"), ("b", "c")], 1))
+    out = oracle_shortest_sequence(red.g1, red.g2, OracleBudget(max_states=5_000))
+    assert out.status == "found" and len(out.sequence) == 10
+    assert oracle_shortest_sequence(red.g1, red.g2, OracleBudget(max_states=4_000)).status == "budget"
