@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, find_bridges
+from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _snapshot_dfs
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,11 @@ def classify(g: TemporalGraph) -> ChangeTable:
     the vertex pair).  The sweep stops when a level is empty or no bridge is
     left; everything unleveled is unchangeable.
     """
-    bridges = find_bridges(g)
     pending: dict[TemporalEdge, tuple[list[int], int, int]] = {}  # unleveled bridge -> its side
-    for bridge in sorted(bridges):
-        dfs = g._dfs(bridge.t)
-        c = dfs.below[bridge.pair]
-        pending[bridge] = (dfs.enter, dfs.enter[c], dfs.leave[c])
-    frontier = sorted(e for e in g.edges if e not in bridges)
+    for t, dfs in _snapshot_dfs(g).items():
+        for (u, v), c in dfs.below.items():
+            pending[TemporalEdge(u, v, t)] = (dfs.enter, dfs.enter[c], dfs.leave[c])
+    frontier = sorted(e for e in g.edges if e not in pending)
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
     k = 0

@@ -3,8 +3,11 @@
 Exit codes: 0 for a positive result (feasible / valid / found / generated),
 1 for a conclusive negative one (infeasible / invalid / unreachable), 2 for
 usage, parse, precondition, or resource errors (including an exhausted
-oracle budget).  Results go to stdout, diagnostics to stderr; ``--json``
-switches stdout to a single JSON document.
+oracle budget).  Each ``cmd_*`` returns its exit code, a JSON document
+and plain text, and ``main`` alone prints: every run prints exactly one
+result on stdout, either the plain text or, with ``--json``, one JSON
+document whose first key is ``command``.  An error prints nothing on
+stdout and one ``tgr: ...`` diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -46,11 +49,7 @@ from .planner import Feasible, Infeasible, feasible, plan
 from .reachability import is_crossing, reachability_partition
 
 
-def _emit(args, doc: dict, plain: str) -> None:
-    if args.json:
-        print(json.dumps(doc))
-    elif plain:
-        print(plain, end="" if plain.endswith("\n") else "\n")
+_Result = tuple[int, dict, str]  # exit code, JSON document without "command", plain text
 
 
 def _edge_doc(g: TemporalGraph, e: TemporalEdge) -> dict:
@@ -67,42 +66,36 @@ def _load_pair(args) -> tuple[TemporalGraph, TemporalGraph]:
     return g1, g2
 
 
-def _emit_infeasible(args, g: TemporalGraph, out: Infeasible) -> int:
-    """Report an infeasible pair, for ``check`` and ``plan`` alike."""
+def _infeasible(g: TemporalGraph, out: Infeasible) -> _Result:
+    """The result for an infeasible pair, for ``check`` and ``plan`` alike."""
     doc = {
-        "command": args.command,
         "feasible": False,
         "reason": out.reason,
         "witness": _edge_doc(g, out.witness) if out.witness else None,
     }
     witness = _edge_str(g, out.witness) if out.witness else "pair-counts"
-    _emit(args, doc, f"infeasible\nwitness {witness}")
-    return 1
+    return 1, doc, f"infeasible\nwitness {witness}"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> _Result:
     g1, g2 = _load_pair(args)
     ok, out = feasible(g1, g2)
     if not ok:
-        return _emit_infeasible(args, g1, out)
-    _emit(args, {"command": "check", "feasible": True, "reason": None, "witness": None}, "feasible")
-    return 0
+        return _infeasible(g1, out)
+    return 0, {"feasible": True, "reason": None, "witness": None}, "feasible"
 
 
-def cmd_plan(args) -> int:
+def cmd_plan(args) -> _Result:
     g1, g2 = _load_pair(args)
     outcome = plan(g1, g2)
     if isinstance(outcome, Infeasible):
-        return _emit_infeasible(args, g1, outcome)
+        return _infeasible(g1, outcome)
     assert isinstance(outcome, Feasible)
-    text = format_sequence(outcome.sequence, g1)
+    plain = format_sequence(outcome.sequence, g1)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        Path(args.output).write_text(plain, encoding="utf-8")
         plain = f"plan length {len(outcome.sequence)} phases {outcome.phases}"
-    else:
-        plain = text
     doc = {
-        "command": "plan",
         "feasible": True,
         "length": len(outcome.sequence),
         "phases": outcome.phases,
@@ -116,16 +109,14 @@ def cmd_plan(args) -> int:
             for op in outcome.sequence
         ],
     }
-    _emit(args, doc, plain)
-    return 0
+    return 0, doc, plain
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> _Result:
     g1, g2 = _load_pair(args)
     seq = load_sequence(args.seq, g1)
     report = validate_sequence(g1, seq, g2)
     doc = {
-        "command": "validate",
         "ok": report.ok,
         "length": report.length,
         "failed_step": report.failed_step,
@@ -133,17 +124,15 @@ def cmd_validate(args) -> int:
         "final_matches": report.final_matches,
     }
     if report.ok:
-        _emit(args, doc, f"valid length {report.length}")
-        return 0
-    if report.failed_step is not None:
+        plain = f"valid length {report.length}"
+    elif report.failed_step is not None:
         plain = f"invalid step {report.failed_step} {report.failure}"
     else:
         plain = "invalid final-mismatch"
-    _emit(args, doc, plain)
-    return 1
+    return (0 if report.ok else 1), doc, plain
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> _Result:
     g = load_temporal_graph(args.g)
     table = classify(g)
     edges = g.sorted_edges()
@@ -162,7 +151,7 @@ def cmd_classify(args) -> int:
                 "via": _edge_doc(g, ref) if ref else None,
             }
         )
-    doc = {"command": "classify", "edges": edges_doc}
+    doc = {"edges": edges_doc}
     if args.dump_cross:
         bridges_doc = []
         for b in sorted(find_bridges(g)):
@@ -180,11 +169,10 @@ def cmd_classify(args) -> int:
                 }
             )
         doc["bridges"] = bridges_doc
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return 0, doc, "\n".join(lines)
 
 
-def cmd_diff(args) -> int:
+def cmd_diff(args) -> _Result:
     g1, g2 = _load_pair(args)
     only1 = sorted(g1.edges - g2.edges)
     only2 = sorted(g2.edges - g1.edges)
@@ -193,46 +181,33 @@ def cmd_diff(args) -> int:
     lines.extend(f"only-g1 {_edge_str(g1, e)}" for e in only1)
     lines.extend(f"only-g2 {_edge_str(g1, e)}" for e in only2)
     doc = {
-        "command": "diff",
         "delta": delta,
         "only_g1": [_edge_doc(g1, e) for e in only1],
         "only_g2": [_edge_doc(g1, e) for e in only2],
     }
-    _emit(args, doc, "\n".join(lines))
-    return 0
+    return 0, doc, "\n".join(lines)
 
 
-def cmd_oracle(args) -> int:
+_ORACLE_CODES = {"found": 0, "unreachable": 1, "budget": 2}
+
+
+def cmd_oracle(args) -> _Result:
     g1, g2 = _load_pair(args)
     budget = OracleBudget(max_states=args.max_states, max_depth=args.max_depth)
     outcome = oracle_shortest_sequence(g1, g2, budget)
     length = len(outcome.sequence) if outcome.sequence is not None else None
-    doc = {"command": "oracle", "status": outcome.status, "length": length}
-    if outcome.status == "found":
-        _emit(args, doc, f"found {length}")
-        return 0
-    if outcome.status == "unreachable":
-        _emit(args, doc, "unreachable")
-        return 1
-    _emit(args, doc, "budget")
-    return 2
+    plain = f"found {length}" if outcome.status == "found" else outcome.status
+    return _ORACLE_CODES[outcome.status], {"status": outcome.status, "length": length}, plain
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> _Result:
     g = generate_random_instance(args.n, args.t, args.extra, args.seed)
     save_temporal_graph(g, args.output)
-    doc = {
-        "command": "gen",
-        "n": g.n,
-        "t": g.lifetime,
-        "m": g.m,
-        "path": args.output,
-    }
-    _emit(args, doc, f"generated n={g.n} t={g.lifetime} m={g.m}")
-    return 0
+    doc = {"n": g.n, "t": g.lifetime, "m": g.m, "path": args.output}
+    return 0, doc, f"generated n={g.n} t={g.lifetime} m={g.m}"
 
 
-def cmd_reduce_vc(args) -> int:
+def cmd_reduce_vc(args) -> _Result:
     edges = parse_edge_list(read_text(args.graph), args.graph)
     vertices = sorted({x for e in edges for x in e})
     inst = VCInstance.build(vertices, edges, args.k)
@@ -244,7 +219,6 @@ def cmd_reduce_vc(args) -> int:
         format_vc(inst.vertices, inst.edges, inst.k), encoding="utf-8"
     )
     doc = {
-        "command": "reduce-vc",
         "ell": red.ell,
         "g1": f"{prefix}.g1.tg",
         "g2": f"{prefix}.g2.tg",
@@ -252,11 +226,10 @@ def cmd_reduce_vc(args) -> int:
         "vertices": red.g1.n,
         "temporal_edges": red.g1.m,
     }
-    _emit(args, doc, f"ell {red.ell}")
-    return 0
+    return 0, doc, f"ell {red.ell}"
 
 
-def cmd_cover_seq(args) -> int:
+def cmd_cover_seq(args) -> _Result:
     path = f"{args.prefix}.vc"
     names, edges, k = parse_vc(read_text(path), path)
     inst = VCInstance.build(names, edges, k)
@@ -264,9 +237,7 @@ def cmd_cover_seq(args) -> int:
     cover = [c for c in (x.strip() for x in args.cover.split(",")) if c]
     seq = cover_to_sequence(red, cover)
     save_sequence(seq, red.g1, args.output)
-    doc = {"command": "cover-seq", "length": len(seq), "path": args.output}
-    _emit(args, doc, f"length {len(seq)}")
-    return 0
+    return 0, {"length": len(seq), "path": args.output}, f"length {len(seq)}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -282,53 +253,46 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, help, pair=False):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
+        if pair:
+            p.add_argument("--g1", required=True)
+            p.add_argument("--g2", required=True)
         return p
 
-    p = add("check", cmd_check, help="decide feasibility only")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    add("check", cmd_check, "decide feasibility only", pair=True)
 
-    p = add("plan", cmd_plan, help="decide and synthesize a full sequence")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("plan", cmd_plan, "decide and synthesize a full sequence", pair=True)
     p.add_argument("-o", "--output", help="write the sequence to this .tgs file")
 
-    p = add("validate", cmd_validate, help="check a sequence file step by step")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("validate", cmd_validate, "check a sequence file step by step", pair=True)
     p.add_argument("--seq", required=True)
 
-    p = add("classify", cmd_classify, help="per-edge changeability levels")
+    p = add("classify", cmd_classify, "per-edge changeability levels")
     p.add_argument("--g", required=True)
     p.add_argument("--dump-cross", action="store_true", help="also print each bridge's partition and crossing edges")
 
-    p = add("diff", cmd_diff, help="edges only in one of the graphs")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    add("diff", cmd_diff, "edges only in one of the graphs", pair=True)
 
-    p = add("oracle", cmd_oracle, help="exhaustive shortest-sequence search")
-    p.add_argument("--g1", required=True)
-    p.add_argument("--g2", required=True)
+    p = add("oracle", cmd_oracle, "exhaustive shortest-sequence search", pair=True)
     p.add_argument("--max-states", type=int, default=5_000_000)
     p.add_argument("--max-depth", type=int, default=None)
 
-    p = add("gen", cmd_gen, help="random always-connected instance")
+    p = add("gen", cmd_gen, "random always-connected instance")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--extra", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output", required=True)
 
-    p = add("reduce-vc", cmd_reduce_vc, help="vertex-cover hardness instance")
+    p = add("reduce-vc", cmd_reduce_vc, "vertex-cover hardness instance")
     p.add_argument("--graph", required=True, help="edge list: one 'u v' per line")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out-prefix", required=True)
 
-    p = add("cover-seq", cmd_cover_seq, help="sequence realizing a vertex cover")
+    p = add("cover-seq", cmd_cover_seq, "sequence realizing a vertex cover")
     p.add_argument("--prefix", required=True, help="prefix used by reduce-vc")
     p.add_argument("--cover", required=True, help="comma-separated vertex names")
     p.add_argument("-o", "--output", required=True)
@@ -337,13 +301,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code, doc, plain = args.fn(args)
+        if args.json:
+            print(json.dumps({"command": args.command, **doc}))
+        elif plain:
+            print(plain, end="" if plain.endswith("\n") else "\n")
     except (ParseError, GraphError, OSError) as exc:
         print(f"tgr: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -58,6 +58,14 @@ class RelabelOp(NamedTuple):
 ReconfigSequence = Sequence[RelabelOp]
 
 
+def _require_distinct(names: tuple[str, ...]) -> None:
+    """Raise on the first vertex name that appears twice."""
+    if len(set(names)) != len(names):
+        seen: set[str] = set()
+        repeat = next(x for x in names if x in seen or seen.add(x))
+        raise GraphError(f"duplicate vertex name {repeat!r}")
+
+
 @dataclass(frozen=True)
 class TemporalGraph:
     """Immutable temporal graph: name table, lifetime, set of temporal edges."""
@@ -69,9 +77,8 @@ class TemporalGraph:
     def __post_init__(self):
         if self.lifetime < 1:
             raise GraphError("lifetime must be at least 1")
-        if len(set(self.names)) != len(self.names):
-            raise GraphError("duplicate vertex names")
         object.__setattr__(self, "names", tuple(self.names))
+        _require_distinct(self.names)
         object.__setattr__(
             self, "edges", frozenset(TemporalEdge(*e) for e in self.edges)
         )
@@ -98,6 +105,7 @@ class TemporalGraph:
     ) -> "TemporalGraph":
         """Construct from named edges; rejects self-loops and duplicates."""
         names = tuple(names)
+        _require_distinct(names)
         index = {name: i for i, name in enumerate(names)}
         out: set[TemporalEdge] = set()
         for uname, vname, t in edges:
@@ -156,14 +164,6 @@ class TemporalGraph:
         With n >= 2 an empty snapshot is disconnected, so this stops by M + 1."""
         times = range(1, self.lifetime + 1) if self.n > 1 else ()
         return next((t for t in times if self._dfs(t).leave[0] < self.n), None)
-
-    @cached_property
-    def _bridges(self) -> frozenset[TemporalEdge]:
-        """Bridges of every snapshot; cached on the graph.  Meaningful only
-        when always-connected, when every snapshot is in the cache."""
-        return frozenset(
-            TemporalEdge(u, v, t) for t, dfs in self._dfs_at.items() for u, v in dfs.below
-        )
 
     def sorted_edges(self) -> list[TemporalEdge]:
         return sorted(self.edges)
@@ -262,6 +262,14 @@ def require_endpoints(*graphs: TemporalGraph) -> None:
         raise GraphError("endpoint graph is not always-connected")
 
 
+def _snapshot_dfs(g: TemporalGraph) -> dict[int, StaticBridges]:
+    """The cached DFS of every snapshot, keyed by time; raises unless ``g``
+    is always-connected (checking that fills the cache when n >= 2)."""
+    if g._disconnected_at is not None:
+        raise GraphError(f"snapshot {g._disconnected_at} is not connected")
+    return g._dfs_at
+
+
 def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     """All temporal edges whose removal disconnects their snapshot.
 
@@ -269,9 +277,9 @@ def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     graph, the first time it is asked for; a graph made by ``apply_relabel``
     reruns it only for the two snapshots the relabel touched.
     """
-    if g._disconnected_at is not None:
-        raise GraphError(f"snapshot {g._disconnected_at} is not connected")
-    return g._bridges
+    return frozenset(
+        TemporalEdge(u, v, t) for t, dfs in _snapshot_dfs(g).items() for u, v in dfs.below
+    )
 
 
 def _slot_fault(g: TemporalGraph, op: RelabelOp) -> str | None:

@@ -36,10 +36,14 @@ def _check_name(source: str, no: int, token: str) -> str:
 
 
 def _int(source: str, no: int, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(source, no, f"{what} must be an integer, got {token!r}") from None
+    """An ASCII decimal integer, ``-?[0-9]+``; ``int`` alone would also take
+    ``+1``, ``1_0`` and non-ASCII digits."""
+    if token.isascii() and token.removeprefix("-").isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(source, no, f"{what} must be an integer, got {token!r}")
 
 
 def _body(text: str, source: str, kind: str, version: int):

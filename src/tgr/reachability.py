@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GraphError, TemporalEdge, TemporalGraph, find_bridges
+from .core import GraphError, TemporalEdge, TemporalGraph, _snapshot_dfs
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,9 @@ def reachability_partition(g: TemporalGraph, bridge: TemporalEdge) -> Reachabili
     bridge = TemporalEdge(*bridge)
     if bridge not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {bridge!r}")
-    if bridge not in find_bridges(g):
+    dfs = _snapshot_dfs(g)[bridge.t]
+    if bridge.pair not in dfs.below:
         raise GraphError(f"not a bridge: {bridge!r}")
-    dfs = g._dfs(bridge.t)
     c = dfs.below[bridge.pair]
     side_c = frozenset(x for x in range(g.n) if dfs.enter[c] <= dfs.enter[x] < dfs.leave[c])
     rest = frozenset(range(g.n)) - side_c

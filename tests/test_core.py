@@ -343,6 +343,13 @@ def test_build_rejects_bad_input():
         TemporalGraph.build("ab", 1, [("a", "b", 1), ("b", "a", 1)])
     with pytest.raises(GraphError):
         TemporalGraph.build("ab", 1, [("a", "b", 2)])
+
+
+def test_repeated_vertex_name_is_named_before_edges_are_read():
+    with pytest.raises(GraphError, match=r"^duplicate vertex name 'x'$"):
+        TemporalGraph.build(["x", "x", "y"], 1, [("x", "y", 1), ("y", "x", 1)])
+    with pytest.raises(GraphError, match=r"^duplicate vertex name 'b'$"):
+        TemporalGraph(("a", "b", "c", "b"), 1, frozenset())
     with pytest.raises(GraphError):
         TemporalGraph.build("ab", 0, [])
 

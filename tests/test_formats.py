@@ -61,6 +61,10 @@ def test_write_is_deterministic():
         ("tg 1\nt 2\nt 2\n", 3, "duplicate 't'"),
         ("tg 1\nt 0\n", 2, "at least 1"),
         ("tg 1\nt two\n", 2, "integer"),
+        ("tg 1\nt \u0663\n", 2, "integer"),
+        ("tg 1\nt 1_0\n", 2, "integer"),
+        ("tg 1\nt 2\nv a\nv b\ne a b +1\n", 5, "integer"),
+        pytest.param("tg 1\nt " + "9" * 5000 + "\n", 2, "integer", id="5000-digits"),
         ("tg 1\nt 2\nv a,b\n", 3, "comma"),
         ("tg 1\n", 1, "missing 't'"),
     ],
@@ -94,6 +98,7 @@ def test_sequence_empty():
         ("tgs 1\nr a c 0 2\n", 2),
         ("tgs 1\nr a a 1 2\n", 2),
         ("tgs 1\nr a c 1\n", 2),
+        ("tgs 1\nr a c 1 \u0662\n", 2),
     ],
 )
 def test_sequence_parse_errors(text, line):
@@ -141,6 +146,13 @@ def test_vc_round_trip():
 def test_vc_parse_errors(text):
     with pytest.raises(ParseError):
         parse_vc(text)
+
+
+def test_vc_budget_must_be_ascii_decimal():
+    with pytest.raises(ParseError) as exc:
+        parse_vc("vc 1\n# budget\nk \u0661\n", "in.vc")
+    assert exc.value.line == 3
+    assert "cover budget must be an integer" in str(exc.value)
 
 
 def test_comments_and_blank_lines_ignored():
