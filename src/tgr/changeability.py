@@ -6,10 +6,11 @@ Level 0 holds the non-bridges.  A bridge gets level k+1 when some level-k
 edge crosses its partition: once that helper is a non-bridge, moving the
 helper's pair into the bridge's snapshot closes a cycle through the bridge.
 Edges never reached by this breadth-first sweep can never be relabeled, no
-matter what happens first.  ``classify`` tests each helper against the
-bridges not yet leveled, each side read as an entry-order interval of the
-snapshot's cached DFS tree, so it runs no traversal of its own and builds
-no per-edge crossing map.
+matter what happens first.  A helper crosses a bridge exactly when the
+bridge lies on the helper's path in the snapshot's cached DFS tree, so
+``classify`` paints those paths with one union-find per snapshot and
+visits each bridge once; it runs no traversal of its own and builds no
+per-edge crossing map.
 """
 
 from __future__ import annotations
@@ -69,37 +70,73 @@ def sequence_to_nonbridge(
 def classify(g: TemporalGraph) -> ChangeTable:
     """Breadth-first level table of ``g``.
 
-    Level 0 is the set of non-bridges.  Each bridge's side of its partition
-    is the entry-order interval of the DFS subtree below it.  Each
-    level-k helper, in canonical order, then claims every still-unleveled
-    bridge whose partition it crosses as level k+1, recording itself as the
-    back-reference.  A bridge whose enabling relabel would land on an
-    occupied slot is skipped (this only happens when helper and bridge share
-    the vertex pair).  The sweep stops when a level is empty or no bridge is
+    Level 0 is the set of non-bridges.  Each level-k helper ``{u, v}``, in
+    canonical order, then claims as level k+1 every still-unleveled bridge
+    on the DFS tree path from u to v in each snapshot (exactly the bridges
+    whose partition it crosses), recording itself as the back-reference.
+    A snapshot where the helper's pair already has an edge is skipped: the
+    enabling relabel would land on an occupied slot, and the path there is
+    that one edge.  The sweep stops when a level is empty or no bridge is
     left; everything unleveled is unchangeable.
+
+    Per snapshot, a union-find over the DFS tree contracts every edge but
+    the unleveled bridges; each set is named by its top vertex.  Painting a
+    path climbs from each end past the tops that are not ancestors of the
+    other end, claiming the bridge above each top and merging it into its
+    parent's set, so every bridge is visited once (Gabow & Tarjan 1985).
     """
-    pending: dict[TemporalEdge, tuple[list[int], int, int]] = {}  # unleveled bridge -> its side
+    edges = g.edges
+    painters = {}  # snapshot with unleveled bridges -> (top, enter, leave, above)
     for t, dfs in _snapshot_dfs(g).items():
-        for (u, v), c in dfs.below.items():
-            pending[TemporalEdge(u, v, t)] = (dfs.enter, dfs.enter[c], dfs.leave[c])
-    frontier = sorted(e for e in g.edges if e not in pending)
+        if not dfs.below:
+            continue
+        enter, leave = dfs.enter, dfs.leave
+        # unleveled bridge above each set's top: (the bridge, its other endpoint)
+        above = {c: (TemporalEdge(u, v, t), u + v - c) for (u, v), c in dfs.below.items()}
+        top = list(range(g.n))
+        tops: list[int] = []  # the tops on the tree path down to x
+        for x in sorted(range(g.n), key=enter.__getitem__):
+            while tops and leave[tops[-1]] <= enter[x]:
+                tops.pop()
+            if x in above or not tops:
+                tops.append(x)
+            else:
+                top[x] = tops[-1]
+        painters[t] = (top, enter, leave, above)
+    bridges = [b for *_, above in painters.values() for b, _ in above.values()]
+    frontier = sorted(edges.difference(bridges))
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
     k = 0
-    while frontier and pending:
+    while frontier and painters:
         k += 1
         nxt: list[TemporalEdge] = []
-        for helper in frontier:
-            u, v = helper.pair
-            claimed = [
-                b for b, (enter, lo, hi) in pending.items()
-                if (lo <= enter[u] < hi) != (lo <= enter[v] < hi)
-                and TemporalEdge(u, v, b.t) not in g.edges
-            ]
-            for b in claimed:
-                del pending[b]
-                levels[b] = k
-                back_refs[b] = helper
-            nxt.extend(claimed)
+        for t in list(painters):
+            top, enter, leave, above = painters[t]
+
+            def find(x: int) -> int:
+                while top[x] != x:
+                    top[x] = top[top[x]]  # path halving
+                    x = top[x]
+                return x
+
+            for helper in frontier:
+                u, v, _ = helper
+                cu, cv = top[u], top[v]
+                if top[cu] != cu or top[cv] != cv:
+                    cu, cv = find(cu), find(cv)
+                if cu == cv or (u, v, t) in edges:
+                    continue
+                for c, other in ((cu, enter[v]), (cv, enter[u])):
+                    while not enter[c] <= other < leave[c]:  # c is no ancestor of the other end
+                        b, parent = above.pop(c)
+                        levels[b] = k
+                        back_refs[b] = helper
+                        nxt.append(b)
+                        top[c] = find(parent)  # merge into the parent's set
+                        c = top[c]
+                if not above:
+                    del painters[t]
+                    break
         frontier = sorted(nxt)
-    return ChangeTable(g.edges, levels, back_refs, max(levels.values(), default=-1))
+    return ChangeTable(edges, levels, back_refs, max(levels.values(), default=-1))

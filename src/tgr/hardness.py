@@ -9,7 +9,10 @@ prerequisite edge per gadget (``prerequisite_edges``), which is what makes
 minimizing sequence length hard.
 
 Gadget naming, part of the stable external contract (instance vertex ``a``,
-instance edge ``{a, b}`` with a < b):
+instance edge ``{a, b}`` with a < b; inside a gadget name an instance name
+has ``%``, ``_``, ``.`` and ``'`` percent-encoded as ``%25``, ``%5F``,
+``%2E`` and ``%27``, so distinct instances never share a gadget name and a
+name without those characters appears as is):
 
 * ``a.1 a.2 a.3``             cycle vertices of ``a``
 * ``a_b``, ``a_b'``           transition vertices of ``a`` for edge {a, b}
@@ -27,6 +30,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph
+
+
+_ENCODE = str.maketrans({"%": "%25", "_": "%5F", ".": "%2E", "'": "%27"})
 
 
 @dataclass(frozen=True)
@@ -98,25 +104,28 @@ def build_reduction(inst: VCInstance) -> ReductionOutput:
     paths: dict[str, tuple[str, ...]] = {}
     gadgets: dict[tuple[str, str], EdgeGadget] = {}
 
+    enc = {v: v.translate(_ENCODE) for v in inst.vertices}
     for v in inst.vertices:
-        triple = (f"{v}.1", f"{v}.2", f"{v}.3")
+        a = enc[v]
+        triple = (f"{a}.1", f"{a}.2", f"{a}.3")
         triples[v] = triple
         names.extend(triple)
         path = [triple[0]]
         for w in inst.neighbors(v):
-            path.extend((f"{v}_{w}", f"{v}_{w}'"))
+            path.extend((f"{a}_{enc[w]}", f"{a}_{enc[w]}'"))
         path.append(triple[1])
         paths[v] = tuple(path)
         names.extend(path[1:-1])
     for u, v in inst.edges:
-        hub = f"e_{u}_{v}"
+        a, b = enc[u], enc[v]
+        hub = f"e_{a}_{b}"
         gadgets[(u, v)] = EdgeGadget(
             source=(u, v),
             hub=hub,
             one=f"{hub}.1",
             two=f"{hub}.2",
-            u_side=(f"{u}_{v}", f"{u}_{v}'"),
-            v_side=(f"{v}_{u}", f"{v}_{u}'"),
+            u_side=(f"{a}_{b}", f"{a}_{b}'"),
+            v_side=(f"{b}_{a}", f"{b}_{a}'"),
         )
         names.extend((hub, f"{hub}.1", f"{hub}.2"))
 

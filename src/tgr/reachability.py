@@ -2,9 +2,11 @@
 
 Removing a bridge splits its snapshot into exactly two components, read off
 the snapshot's cached DFS tree as the subtree below the bridge and the rest.
-An edge whose endpoints land on opposite sides is a *crossing* edge; the
-level sweep in ``changeability.classify`` and ``tgr classify --dump-cross``
-are both built on this relation.
+An edge whose endpoints land on opposite sides is a *crossing* edge: the
+bridge lies on the tree path between its endpoints.  ``tgr classify
+--dump-cross`` lists this relation; the level sweep in
+``changeability.classify`` never lists it, but paints those tree paths on
+the same cached DFS tree.
 """
 
 from __future__ import annotations

@@ -151,6 +151,29 @@ def small_instance(seed: int) -> TemporalGraph:
     return generate_random_instance(n, 2, extra, seed)
 
 
+def sparse_instance(seed: int) -> TemporalGraph:
+    """Random instance with n in 3..7 and lifetime 2..4, each snapshot a
+    spanning tree plus 1-3 random further edges: bridge-heavy enough that
+    some seeds reach level 3 or 4."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 7)
+    lifetime = rng.randint(2, 4)
+    cap = n * (n - 1) // 2 - (n - 1)
+    edges: set[TemporalEdge] = set()
+    for t in range(1, lifetime + 1):
+        snap = generate_random_instance(n, 1, rng.randint(1, min(3, cap)), rng.randrange(2**32))
+        edges.update(TemporalEdge(e.u, e.v, t) for e in snap.edges)
+    return TemporalGraph(snap.names, lifetime, frozenset(edges))
+
+
+def ladder(n: int) -> TemporalGraph:
+    """Snapshot 1 is the path v0..v(n-1), snapshot 2 its square: every
+    label-1 edge is a bridge, every label-2 edge a level-0 helper."""
+    edges = [TemporalEdge(i, i + 1, 1) for i in range(n - 1)]
+    edges += [TemporalEdge(i, j, 2) for i in range(n) for j in (i + 1, i + 2) if j < n]
+    return TemporalGraph(tuple(f"v{i}" for i in range(n)), 2, frozenset(edges))
+
+
 def random_compatible_target(g: TemporalGraph, rng: random.Random, tries: int = 60):
     """Always-connected graph with the same per-pair label counts as ``g``.
 

@@ -5,6 +5,7 @@ import pytest
 
 from tgr import (
     GraphError,
+    TemporalEdge,
     TemporalGraph,
     VCInstance,
     apply_relabel,
@@ -52,6 +53,10 @@ def test_tri_levels(tri):
     assert table.level(te(g1, "a", "c", 1)) == 0
     assert table.level(te(g1, "a", "b", 2)) == 1
     assert table.level(te(g1, "b", "c", 2)) == 1
+    # (a,b,1) sorts first and its path at time 2 is the bridge (a,b,2), but
+    # moving it there would collide with that bridge's own pair
+    assert table.back_refs[te(g1, "a", "b", 2)] == te(g1, "a", "c", 1)
+    assert table.back_refs[te(g1, "b", "c", 2)] == te(g1, "a", "c", 1)
 
 
 def test_no_bridge_graph_all_level_zero():
@@ -221,3 +226,32 @@ def test_classify_matches_crossing_map_reference():
         assert table.max_level == ref.max_level, i
         deep += table.max_level >= 2
     assert deep >= 20  # the sweep beyond level 1 is exercised
+
+
+def test_ladder_matches_reference_and_pins_back_refs():
+    n = 200
+    g = helpers.ladder(n)
+    table = classify(g)
+    assert table == reference_classify(g)
+    assert table.max_level == 1
+    for i in range(n - 1):
+        # the first label-2 edge across it in canonical order, skipping its own pair
+        lo = max(i - 1, 0)
+        assert table.back_refs[TemporalEdge(i, i + 1, 1)] == TemporalEdge(lo, lo + 2, 2)
+
+
+DEEP_SPARSE_SEEDS = [58, 120, 689, 2863, 3267, 3674, 5366, 5725, 6424, 7258, 7865, 8089, 155752, 185220]
+
+
+def test_sparse_deep_chains_match_crossing_map_reference():
+    depth = []
+    for seed in [*range(300), *DEEP_SPARSE_SEEDS]:
+        g = helpers.sparse_instance(seed)
+        table = classify(g)
+        ref = reference_classify(g)
+        assert table.levels == ref.levels, seed
+        assert table.back_refs == ref.back_refs, seed
+        assert table.max_level == ref.max_level, seed
+        depth.append(table.max_level)
+    assert sum(d >= 3 for d in depth) >= 10
+    assert max(depth) >= 4

@@ -212,12 +212,15 @@ def test_reduce_vc_and_cover_seq(tmp_path, capsys):
     assert main(["validate", "--g1", f"{prefix}.g1.tg", "--g2", f"{prefix}.g2.tg", "--seq", seq_path]) == 0
 
 
-def test_reduce_vc_reports_colliding_gadget_names(tmp_path, capsys):
+def test_reduce_vc_encodes_colliding_gadget_names(tmp_path, capsys):
     edgelist = tmp_path / "g.edgelist"
-    edgelist.write_text("x y_z\nx_y z\n")  # both edges name a gadget vertex x_y_z
+    edgelist.write_text("x y_z\nx_y z\n")  # joined raw, both edges name a gadget vertex x_y_z
     prefix = str(tmp_path / "red")
-    assert main(["reduce-vc", "--graph", str(edgelist), "--k", "1", "--out-prefix", prefix]) == 2
-    assert capsys.readouterr() == ("", "tgr: duplicate vertex name 'x_y_z'\n")
+    assert main(["reduce-vc", "--graph", str(edgelist), "--k", "2", "--out-prefix", prefix]) == 0
+    assert main(["cover-seq", "--prefix", prefix, "--cover", "x,z", "-o", f"{prefix}.tgs"]) == 0
+    assert main(["validate", "--g1", f"{prefix}.g1.tg", "--g2", f"{prefix}.g2.tg", "--seq", f"{prefix}.tgs"]) == 0
+    assert capsys.readouterr() == ("ell 12\nlength 12\nvalid length 12\n", "")
+    assert "v x_y%5Fz\n" in (tmp_path / "red.g1.tg").read_text()
 
 
 def test_cover_seq_rejects_non_cover(tmp_path, capsys):

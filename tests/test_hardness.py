@@ -166,6 +166,28 @@ def test_cover_sequence_rejects_non_cover():
         cover_to_sequence(red, ["nope"])
 
 
+def test_colliding_instance_names_reduce():
+    # joined raw, both edges would name a gadget vertex x_y_z
+    inst = VCInstance.build(["x", "y_z", "x_y", "z"], [("x", "y_z"), ("x_y", "z")], 2)
+    red = build_reduction(inst)
+    assert red.g1.n == 3 * 4 + 7 * 2
+    assert red.gadgets[("x", "y_z")].u_side == ("x_y%5Fz", "x_y%5Fz'")
+    assert red.gadgets[("x_y", "z")].u_side == ("x%5Fy_z", "x%5Fy_z'")
+    seq = cover_to_sequence(red, ["x", "z"])
+    assert len(seq) == red.ell == 12
+    assert validate_sequence(red.g1, seq, red.g2).ok
+
+
+def test_gadget_names_are_injective_on_escape_characters():
+    names = ["a", "b", "a_b", "a.1", "e", "e_a", "%", "%5F", "_", "'", "a'", "x.y_z%"]
+    edges = list(itertools.combinations(names, 2))
+    red = build_reduction(VCInstance.build(names, edges, len(names) - 1))
+    assert red.g1.n == 3 * len(names) + 7 * len(edges)
+    assert red.vertex_triples["%5F"] == ("%255F.1", "%255F.2", "%255F.3")
+    assert red.gadgets[("a", "b")].hub == "e_a_b"  # plain names appear as is
+    assert red.vertex_triples["a"] == ("a.1", "a.2", "a.3")
+
+
 def test_prerequisites_single_edge():
     red = single_edge()
     p = prerequisite_edges(red, ("u", "w"))
