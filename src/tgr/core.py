@@ -6,7 +6,8 @@ dense indices internally; a name table maps them to external tokens.  One
 lowlink DFS per snapshot (``static_bridges``, cached on the graph) gives
 its connectivity, its bridges and each bridge's two sides.  All operations
 are pure: relabeling an edge returns a new graph value, which keeps the
-cached DFS of every snapshot the relabel leaves alone.
+cached DFS of every snapshot the relabel leaves alone.  The public
+constructor checks everything; ``_checked_graph`` skips it for checked parts.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class TemporalGraph:
     def _dfs(self, t: int) -> StaticBridges:
         """``static_bridges`` of snapshot ``t``; cached on the graph."""
         if t not in self._dfs_at:
-            self._dfs_at[t] = static_bridges(self.n, [e.pair for e in self._edges_at.get(t, ())])
+            self._dfs_at[t] = static_bridges(self.n, [e[:2] for e in self._edges_at.get(t, ())])
         return self._dfs_at[t]
 
     @cached_property
@@ -169,7 +170,15 @@ class TemporalGraph:
         return sorted(self.edges)
 
     def pair_counts(self) -> Counter:
-        return Counter(e.pair for e in self.edges)
+        return Counter(e[:2] for e in self.edges)
+
+
+def _checked_graph(names, lifetime, edges, edges_at, dfs_at) -> TemporalGraph:
+    """The graph of parts its caller has checked (the .tg reader, ``apply_relabel``):
+    ``edges`` a frozenset, ``edges_at`` them by time, ``dfs_at`` cached DFS that hold."""
+    out = object.__new__(TemporalGraph)
+    out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _edges_at=edges_at, _dfs_at=dfs_at)
+    return out
 
 
 @dataclass(frozen=True)
@@ -331,12 +340,10 @@ def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
     edges_at = dict(g._edges_at)
     edges_at[src.t] = [e for e in edges_at[src.t] if e != src]
     edges_at[tgt.t] = edges_at.get(tgt.t, []) + [tgt]
-    out = object.__new__(TemporalGraph)  # no constructor: g and the two slots are checked
-    out.__dict__.update(
-        names=g.names, lifetime=g.lifetime, edges=g.edges - {src} | {tgt}, _edges_at=edges_at,
-        _dfs_at={t: dfs for t, dfs in g._dfs_at.items() if t not in (src.t, tgt.t)},
+    return _checked_graph(
+        g.names, g.lifetime, g.edges - {src} | {tgt}, edges_at,
+        {t: dfs for t, dfs in g._dfs_at.items() if t not in (src.t, tgt.t)},
     )
-    return out
 
 
 def validate_sequence(
@@ -374,9 +381,10 @@ def difference(g1: TemporalGraph, g2: TemporalGraph) -> int:
 
 
 def check_pair_counts(g1: TemporalGraph, g2: TemporalGraph) -> bool:
-    """True iff every vertex pair carries equally many time labels in both."""
+    """True iff every vertex pair carries equally many time labels in both;
+    common edges add the same to both counts, so only the others are counted."""
     require_compatible(g1, g2)
-    return g1.pair_counts() == g2.pair_counts()
+    return Counter(e[:2] for e in g1.edges - g2.edges) == Counter(e[:2] for e in g2.edges - g1.edges)
 
 
 def align_names(g: TemporalGraph, like: TemporalGraph) -> TemporalGraph:

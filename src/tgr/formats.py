@@ -1,17 +1,21 @@
 """Line-based text formats for graphs (.tg), relabeling sequences (.tgs)
 and vertex-cover instances (.vc).  Parsing is strict: every violation is a
-ParseError carrying the offending line number.
+ParseError carrying the offending line number.  The .tg reader builds the
+graph in one pass.  Writers refuse a vertex name that would not read back.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import filterfalse
 from pathlib import Path
 
-from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph
+from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _checked_graph
 
 TG_VERSION = 1
 TGS_VERSION = 1
 VC_VERSION = 1
+_NAME = re.compile(r"[^\s,]+")  # a vertex name that reads back: no whitespace or comma, not empty
 
 
 class ParseError(ValueError):
@@ -23,16 +27,21 @@ class ParseError(ValueError):
 
 def _lines(text: str):
     for no, raw in enumerate(text.splitlines(), 1):
-        s = raw.strip()
-        if not s or s.startswith("#"):
-            continue
-        yield no, s.split()
+        tokens = raw.split()
+        if tokens and tokens[0][0] != "#":
+            yield no, tokens
 
 
 def _check_name(source: str, no: int, token: str) -> str:
     if "," in token:
         raise ParseError(source, no, f"vertex name may not contain a comma: {token!r}")
     return token
+
+
+def _writable(names) -> None:
+    """Raise GraphError on the first name that is not one ``_NAME`` token."""
+    for name in filterfalse(_NAME.fullmatch, names):
+        raise GraphError(f"vertex name {name!r} cannot be written: it must be one token without a comma")
 
 
 def _int(source: str, no: int, token: str, what: str) -> int:
@@ -111,24 +120,30 @@ def read_text(path: str | Path) -> str:
 
 
 def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
+    """One pass: each line is checked once, and the edge set and the
+    per-snapshot edge lists are filled as the edges are read."""
     lifetime: int | None = None
     index: dict[str, int] = {}
     edges: set[TemporalEdge] = set()
+    edges_at: dict[int, list[TemporalEdge]] = {}
     for no, tokens in _body(text, source, "tg", TG_VERSION):
         directive = tokens[0]
-        if directive == "t":
-            lifetime = _once_int(source, no, tokens, lifetime, "t <lifetime>", "lifetime", 1)
-        elif directive == "v":
-            _declare(source, no, tokens, index)
-        elif directive == "e":
+        if directive == "e":
             if len(tokens) != 4:
                 raise ParseError(source, no, "expected 'e <u> <v> <t>'")
             if lifetime is None:
                 raise ParseError(source, no, "edge before 't' directive")
-            uname, vname = tokens[1], tokens[2]
-            t = _int(source, no, tokens[3], "edge time")
-            u, v = sorted(_lookup(source, no, index, nm) for nm in (uname, vname))
-            if u == v:
+            _, uname, vname, time = tokens
+            if time.isascii() and time.isdigit() and len(time) < 19:  # else _int, the one integer rule
+                t = int(time)
+            else:
+                t = _int(source, no, time, "edge time")
+            u, v = index.get(uname), index.get(vname)
+            if u is None or v is None:  # raises on the first undeclared name
+                _lookup(source, no, index, uname if u is None else vname)
+            if u > v:
+                u, v = v, u
+            elif u == v:
                 raise ParseError(source, no, f"self-loop on {uname!r}")
             if not 1 <= t <= lifetime:
                 raise ParseError(source, no, f"edge time {t} outside 1..{lifetime}")
@@ -136,14 +151,20 @@ def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
             if e in edges:
                 raise ParseError(source, no, f"duplicate temporal edge {uname} {vname} {t}")
             edges.add(e)
+            edges_at.setdefault(t, []).append(e)
+        elif directive == "t":
+            lifetime = _once_int(source, no, tokens, lifetime, "t <lifetime>", "lifetime", 1)
+        elif directive == "v":
+            _declare(source, no, tokens, index)
         else:
             raise ParseError(source, no, f"unknown directive {directive!r}")
     if lifetime is None:
         raise ParseError(source, 1, "missing 't' directive")
-    return TemporalGraph(tuple(index), lifetime, edges)
+    return _checked_graph(tuple(index), lifetime, frozenset(edges), edges_at, {})
 
 
 def format_temporal_graph(g: TemporalGraph) -> str:
+    _writable(g.names)
     lines = [f"tg {TG_VERSION}", f"t {g.lifetime}"]
     lines.extend(f"v {name}" for name in g.names)
     lines.extend(
@@ -188,6 +209,7 @@ def parse_sequence(text: str, g: TemporalGraph, source: str = "<string>") -> lis
 
 
 def format_sequence(ops, g: TemporalGraph) -> str:
+    _writable(g.name(x) for op in ops for x in (op.u, op.v))
     lines = [f"tgs {TGS_VERSION}"]
     lines.extend(
         f"r {g.name(op.u)} {g.name(op.v)} {op.from_time} {op.to_time}" for op in ops
@@ -243,6 +265,7 @@ def parse_vc(text: str, source: str = "<string>"):
 
 
 def format_vc(vertices, edges, k: int) -> str:
+    _writable(vertices)
     lines = [f"vc {VC_VERSION}", f"k {k}"]
     lines.extend(f"v {name}" for name in vertices)
     lines.extend(f"e {u} {v}" for u, v in edges)

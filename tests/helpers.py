@@ -19,6 +19,7 @@ from tgr import (
     is_always_connected,
 )
 from tgr.core import require_endpoints, static_bridges
+from tgr.formats import TG_VERSION, ParseError, _declare, _int, _lookup, _once_int
 
 
 def reach(n: int, pairs, start: int = 0) -> list[bool]:
@@ -257,6 +258,58 @@ def reference_classify(g: TemporalGraph) -> ChangeTable:
             k += 1
             max_level = k
     return ChangeTable(g.edges, levels, back_refs, max_level)
+
+
+# ---------------------------------------------------------------------------
+# Slow reference for the .tg reader: strip each line, sort the endpoints,
+# then build the graph through the public constructor, which checks it all
+# again and groups the edges by time itself.
+
+def _stripped_lines(text: str):
+    for no, raw in enumerate(text.splitlines(), 1):
+        s = raw.strip()
+        if s and not s.startswith("#"):
+            yield no, s.split()
+
+
+def reference_parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
+    lifetime: int | None = None
+    index: dict[str, int] = {}
+    edges: set[TemporalEdge] = set()
+    lines = _stripped_lines(text)
+    for no, tokens in lines:
+        if tokens != ["tg", str(TG_VERSION)]:
+            raise ParseError(source, no, f"expected header 'tg {TG_VERSION}'")
+        break
+    else:
+        raise ParseError(source, 1, f"missing header 'tg {TG_VERSION}'")
+    for no, tokens in lines:
+        directive = tokens[0]
+        if directive == "t":
+            lifetime = _once_int(source, no, tokens, lifetime, "t <lifetime>", "lifetime", 1)
+        elif directive == "v":
+            _declare(source, no, tokens, index)
+        elif directive == "e":
+            if len(tokens) != 4:
+                raise ParseError(source, no, "expected 'e <u> <v> <t>'")
+            if lifetime is None:
+                raise ParseError(source, no, "edge before 't' directive")
+            uname, vname = tokens[1], tokens[2]
+            t = _int(source, no, tokens[3], "edge time")
+            u, v = sorted(_lookup(source, no, index, nm) for nm in (uname, vname))
+            if u == v:
+                raise ParseError(source, no, f"self-loop on {uname!r}")
+            if not 1 <= t <= lifetime:
+                raise ParseError(source, no, f"edge time {t} outside 1..{lifetime}")
+            e = TemporalEdge(u, v, t)
+            if e in edges:
+                raise ParseError(source, no, f"duplicate temporal edge {uname} {vname} {t}")
+            edges.add(e)
+        else:
+            raise ParseError(source, no, f"unknown directive {directive!r}")
+    if lifetime is None:
+        raise ParseError(source, 1, "missing 't' directive")
+    return TemporalGraph(tuple(index), lifetime, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,36 @@ def test_check_pair_counts(tri, infeas):
     assert not check_pair_counts(b, c)
 
 
+def _moved_label(g: TemporalGraph, rng: random.Random) -> TemporalGraph | None:
+    """``g`` with one label moved to another vertex pair at the same time:
+    two pair counts change.  None if no such move exists."""
+    e = rng.choice(sorted(g.edges))
+    free = [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+            if (u, v) != e.pair and TemporalEdge(u, v, e.t) not in g.edges]
+    if not free:
+        return None
+    return TemporalGraph(g.names, g.lifetime, g.edges - {e} | {TemporalEdge(*rng.choice(free), e.t)})
+
+
+def test_check_pair_counts_matches_full_counts():
+    """Counting only the differing edges agrees with comparing full counts."""
+    moved_pairs = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        g = helpers.sparse_instance(seed)
+        walked = helpers.perturb(g, rng.randint(1, 6), rng)
+        shuffled = helpers.random_compatible_target(g, rng)
+        moved = _moved_label(g, rng)
+        for h in (g, walked, shuffled, moved):
+            if h is not None:
+                want = g.pair_counts() == h.pair_counts()
+                assert check_pair_counts(g, h) == check_pair_counts(h, g) == want
+        if moved is not None:
+            assert not check_pair_counts(g, moved)
+            moved_pairs += 1
+    assert moved_pairs > 100
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(GraphError):
         TemporalGraph.build("aa", 1, [])

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from tgr import RelabelOp, TemporalGraph
+from tgr import GraphError, RelabelOp, TemporalGraph
 from tgr.formats import (
     ParseError,
     format_sequence,
@@ -11,6 +13,8 @@ from tgr.formats import (
     parse_temporal_graph,
     parse_vc,
     read_text,
+    save_sequence,
+    save_temporal_graph,
 )
 
 import helpers
@@ -65,6 +69,7 @@ def test_write_is_deterministic():
         ("tg 1\nt 1_0\n", 2, "integer"),
         ("tg 1\nt 2\nv a\nv b\ne a b +1\n", 5, "integer"),
         pytest.param("tg 1\nt " + "9" * 5000 + "\n", 2, "integer", id="5000-digits"),
+        pytest.param("tg 1\nt 2\nv a\nv b\ne a b " + "9" * 5000 + "\n", 5, "integer", id="5000-digit-time"),
         ("tg 1\nt 2\nv a,b\n", 3, "comma"),
         ("tg 1\n", 1, "missing 't'"),
     ],
@@ -74,6 +79,23 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
         parse_temporal_graph(text, "in.tg")
     assert exc.value.line == line
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", ["a b", "a,b", ""])
+def test_writers_refuse_names_their_readers_reject(tmp_path, bad):
+    g = TemporalGraph.build([bad, "c"], 2, [(bad, "c", 1)])
+    ops = [RelabelOp(0, 1, 1, 2)]
+    writes = (
+        lambda: format_temporal_graph(g),
+        lambda: format_sequence(ops, g),
+        lambda: format_vc([bad, "c"], [], 1),
+        lambda: save_temporal_graph(g, tmp_path / "g.tg"),
+        lambda: save_sequence(ops, g, tmp_path / "s.tgs"),
+    )
+    for write in writes:
+        with pytest.raises(GraphError, match=re.escape(repr(bad))):
+            write()
+    assert list(tmp_path.iterdir()) == []  # a refused save writes no file
 
 
 def test_sequence_round_trip():

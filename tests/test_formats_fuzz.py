@@ -1,5 +1,8 @@
 """Hypothesis fuzzing of the text readers: malformed input is only ever a
-ParseError, and what each writer emits reads back to the same value."""
+ParseError, what each writer emits reads back to the same value, and the
+one-pass .tg reader agrees with the slow reference in ``helpers``."""
+
+import itertools
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +34,34 @@ ARGUMENT = st.sampled_from(["a", "b", "c", "a,b", "1", "2", "0", "-1", "two", "9
 LINE = st.builds(lambda d, args: " ".join([d, *args]), DIRECTIVE, st.lists(ARGUMENT, min_size=1, max_size=4))
 
 
+def _read_tg(read, text):
+    """The graph ``read`` makes of ``text`` with its per-snapshot edge sets,
+    or the line and text of its ParseError."""
+    try:
+        g = read(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    return g, {t: set(at) for t, at in g._edges_at.items()}
+
+
+@given(st.text(max_size=200), st.lists(LINE, max_size=20).map("\n".join))
+@settings(max_examples=300, deadline=None)
+def test_tg_reader_matches_reference(text, soup):
+    for candidate in (text, soup, READERS[0][1] + soup):
+        assert _read_tg(parse_temporal_graph, candidate) == _read_tg(helpers.reference_parse_temporal_graph, candidate)
+
+
+def test_tg_reader_matches_reference_on_each_edge_line():
+    """Lines that break several rules at once pin the order of the checks."""
+    opening = READERS[0][1]
+    names = ("a", "b", "z", "a,b")
+    times = ("1", "2", "3", "0", "-1", "+1", "x", "9" * 20, "9" * 5000)
+    for u, v, t in itertools.product(names, names, times):
+        line = f"e {u} {v} {t}\n"
+        for text in (opening + line, opening + "e a b 1\n" + line, "tg 1\nv a\n" + line):
+            assert _read_tg(parse_temporal_graph, text) == _read_tg(helpers.reference_parse_temporal_graph, text)
+
+
 @given(st.text(max_size=200), st.lists(LINE, max_size=20).map("\n".join))
 @settings(max_examples=200, deadline=None)
 def test_readers_raise_only_parse_error(text, soup):
@@ -43,6 +74,15 @@ def test_readers_raise_only_parse_error(text, soup):
 
 
 GRAPHS = st.builds(generate_random_instance, st.integers(1, 7), st.integers(1, 4), st.just(0), st.integers(0, 10_000))
+
+
+@given(GRAPHS)
+@settings(max_examples=60, deadline=None)
+def test_tg_reader_matches_reference_on_generated_graphs(g):
+    text = format_temporal_graph(g)
+    last = text.splitlines()[-1]
+    for candidate in (text, text + last + "\n", "  # a comment\n" + text.replace(" ", " \t ")):
+        assert _read_tg(parse_temporal_graph, candidate) == _read_tg(helpers.reference_parse_temporal_graph, candidate)
 
 
 @given(GRAPHS, st.data())
