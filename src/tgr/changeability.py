@@ -16,7 +16,7 @@ per-edge crossing map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _snapshot_dfs
 
@@ -67,7 +67,7 @@ def sequence_to_nonbridge(
     ]
 
 
-def classify(g: TemporalGraph) -> ChangeTable:
+def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None) -> ChangeTable:
     """Breadth-first level table of ``g``.
 
     Level 0 is the set of non-bridges.  Each level-k helper ``{u, v}``, in
@@ -84,10 +84,19 @@ def classify(g: TemporalGraph) -> ChangeTable:
     path climbs from each end past the tops that are not ancestors of the
     other end, claiming the bridge above each top and merging it into its
     parent's set, so every bridge is visited once (Gabow & Tarjan 1985).
+
+    With ``until`` (edges of ``g``), the sweep ends after the first full
+    level at which all of them have a level, or at once when all are
+    non-bridges.  Only the edges of ``until``, their chains, and the levels
+    up to the stop level are then exact: deeper edges, and on the early
+    return the other non-bridges, are left out.
     """
     edges = g.edges
+    snapshots = _snapshot_dfs(g)
+    if until is not None and all(e in edges and e[:2] not in snapshots[e.t].below for e in until):
+        return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
     painters = {}  # snapshot with unleveled bridges -> (top, enter, leave, above)
-    for t, dfs in _snapshot_dfs(g).items():
+    for t, dfs in snapshots.items():
         if not dfs.below:
             continue
         enter, leave = dfs.enter, dfs.leave
@@ -109,6 +118,8 @@ def classify(g: TemporalGraph) -> ChangeTable:
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
     k = 0
     while frontier and painters:
+        if until is not None and all(map(levels.__contains__, until)):
+            break  # every level so far, and every chain down from until, is final
         k += 1
         nxt: list[TemporalEdge] = []
         for t in list(painters):

@@ -4,7 +4,9 @@ A plan is found by repeatedly shrinking the set of differing edges: pick the
 differing edge with the lowest level, run its enabling sequence on *both*
 graphs, then move the differing edge itself onto a slot the target side has
 free.  Both graphs march toward a common labeling; the final answer is the
-forward half followed by the reversed target-side half.
+forward half followed by the reversed target-side half.  A phase needs only
+the levels of the differing edges and the chains below them, so its sweep
+stops at the deepest of them, and never starts when all are non-bridges.
 
 One wrinkle: an enabling op can be inapplicable on the target side, namely
 when its destination slot is already occupied there (necessarily by an edge
@@ -58,11 +60,12 @@ def _diff_table(
     g1: TemporalGraph, g2: TemporalGraph
 ) -> tuple[list[TemporalEdge], ChangeTable | None] | Infeasible:
     """The edges of g1 missing from g2 with g1's level table (None when none
-    differ), or the first differing edge that is unchangeable."""
+    differ), or the first differing edge that is unchangeable.  The table is
+    exact only for the differing edges (``classify``'s ``until``)."""
     diff = sorted(g1.edges - g2.edges)
     if not diff:
         return diff, None
-    table = classify(g1)
+    table = classify(g1, until=diff)
     for e in diff:
         if table.levels.get(e) is None:
             return Infeasible("unchangeable", e)
@@ -103,10 +106,11 @@ def _phase(
             continue
         ops2.append(op)
         h2 = apply_relabel(h2, op)
-    slots = [e.t for e in h2.edges - h1.edges if e.pair == target.pair]
+    u, v, _ = target
+    slots = [t for t in range(1, h1.lifetime + 1) if (u, v, t) in h2.edges and (u, v, t) not in h1.edges]
     if not slots:
         raise GraphError("no free target slot for differing edge")  # pair counts guarantee one
-    final = RelabelOp(target.u, target.v, target.t, min(slots))
+    final = RelabelOp(u, v, target.t, slots[0])
     return ops + [final], ops2, apply_relabel(h1, final), h2
 
 

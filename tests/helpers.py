@@ -2,21 +2,32 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from typing import Callable
 
 from tgr import (
     ChangeTable,
+    Feasible,
+    GraphError,
+    Infeasible,
     OracleBudget,
     RelabelOp,
     SearchOutcome,
     TemporalEdge,
     TemporalGraph,
+    VCInstance,
     apply_relabel,
+    brute_force_vertex_cover,
+    check_pair_counts,
+    classify,
     find_bridges,
     generate_random_instance,
     is_always_connected,
+    sequence_to_nonbridge,
 )
 from tgr.core import require_endpoints, static_bridges
 from tgr.formats import TG_VERSION, ParseError, _declare, _int, _lookup, _once_int
@@ -132,11 +143,38 @@ def all_valid_moves(g: TemporalGraph) -> list[RelabelOp]:
     return moves
 
 
+class ValidMoves(Sequence):
+    """``all_valid_moves(g)`` without building it: the moves of the i-th
+    non-bridge (in canonical order) are its pair's free slots in time order,
+    so a bisect over the running totals of the free-slot counts finds the
+    move at any index."""
+
+    def __init__(self, g: TemporalGraph):
+        bridges = find_bridges(g)
+        counts = g.pair_counts()
+        self.g = g
+        self.movable = [e for e in sorted(g.edges) if e not in bridges]
+        self.ends = list(itertools.accumulate(g.lifetime - counts[e[:2]] for e in self.movable))
+
+    def __len__(self) -> int:
+        return self.ends[-1] if self.ends else 0
+
+    def __getitem__(self, i: int) -> RelabelOp:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        j = bisect_right(self.ends, i)
+        u, v, t = self.movable[j]
+        free = [t2 for t2 in range(1, self.g.lifetime + 1) if (u, v, t2) not in self.g.edges]
+        return RelabelOp(u, v, t, free[i - (self.ends[j - 1] if j else 0)])
+
+
 def perturb(g: TemporalGraph, steps: int, rng: random.Random) -> TemporalGraph:
-    """Random walk of valid relabels; the result is feasibly reachable."""
+    """Random walk of valid relabels; the result is feasibly reachable.
+    ``rng.choice`` reads only the length and one item, so the lazy
+    ``ValidMoves`` draws what ``all_valid_moves`` would."""
     cur = g
     for _ in range(steps):
-        moves = all_valid_moves(cur)
+        moves = ValidMoves(cur)
         if not moves:
             break
         cur = apply_relabel(cur, rng.choice(moves))
@@ -165,6 +203,42 @@ def sparse_instance(seed: int) -> TemporalGraph:
         snap = generate_random_instance(n, 1, rng.randint(1, min(3, cap)), rng.randrange(2**32))
         edges.update(TemporalEdge(e.u, e.v, t) for e in snap.edges)
     return TemporalGraph(snap.names, lifetime, frozenset(edges))
+
+
+# The sparse_instance seeds in 0..19,999 whose enabling chains reach level
+# 3, split by lifetime, plus the known level-4 seeds (lifetime 2).  Only the
+# lifetime-2 ones are oracle-certified in tier-1; the others take seconds each.
+DEEP_T2_SEEDS = [
+    58, 120, 689, 2863, 3267, 3674, 5366, 5725, 6424, 7258, 8089, 11760, 12702,
+    16859, 19006, 155752, 185220, 356114,
+]
+DEEP_T3_SEEDS = [7865, 16619, 16861]
+
+
+def small_vc_instances() -> list[VCInstance]:
+    """Four fixed Vertex-Cover instances and 16 seeded ones on 2..6
+    vertices, each with k the size of a minimum cover."""
+    instances = [
+        VCInstance.build(["u", "w"], [("u", "w")], 1),
+        VCInstance.build("abc", [("a", "b"), ("b", "c"), ("a", "c")], 2),
+        VCInstance.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], 2),
+        VCInstance.build("abc", [("a", "b"), ("b", "c")], 1),
+    ]
+    seed = 0
+    while len(instances) < 20:
+        rng = random.Random(50_000 + seed)
+        seed += 1
+        n = rng.randint(2, 6)
+        names = [f"n{i}" for i in range(n)]
+        edges = [
+            (a, b) for a, b in itertools.combinations(names, 2) if rng.random() < 0.5
+        ]
+        if not edges:
+            continue
+        probe = VCInstance.build(names, edges, n)
+        best = brute_force_vertex_cover(probe)
+        instances.append(VCInstance.build(names, edges, len(best)))
+    return instances
 
 
 def ladder(n: int) -> TemporalGraph:
@@ -258,6 +332,40 @@ def reference_classify(g: TemporalGraph) -> ChangeTable:
             k += 1
             max_level = k
     return ChangeTable(g.edges, levels, back_refs, max_level)
+
+
+def reference_plan(g1: TemporalGraph, g2: TemporalGraph) -> Feasible | Infeasible:
+    """Slow reference for ``plan``: every phase runs the full level sweep on
+    a freshly computed difference, and finds the free slot by scanning the
+    edges only g2 has.  A differing edge without a level is the
+    ``Infeasible`` witness in the first phase and an error in any later one."""
+    require_endpoints(g1, g2)
+    if not check_pair_counts(g1, g2):
+        return Infeasible("pair_counts", None)
+    cur1, cur2 = g1, g2
+    seq1: list[RelabelOp] = []
+    seq2: list[RelabelOp] = []
+    phases = 0
+    while diff := sorted(cur1.edges - cur2.edges):
+        table = classify(cur1)
+        stuck = [e for e in diff if e not in table.levels]
+        if stuck and phases:
+            raise GraphError(f"differing edge became unchangeable mid-plan: {stuck[0]!r}")
+        if stuck:
+            return Infeasible("unchangeable", stuck[0])
+        target = min(diff, key=lambda e: (table.levels[e], e))
+        ops = sequence_to_nonbridge(cur1, table, target)
+        for o in ops:
+            cur1 = apply_relabel(cur1, o)
+            if o.target() not in cur2.edges:
+                seq2.append(o)
+                cur2 = apply_relabel(cur2, o)
+        slot = min(e.t for e in cur2.edges - cur1.edges if e.pair == target.pair)
+        ops.append(RelabelOp(target.u, target.v, target.t, slot))
+        cur1 = apply_relabel(cur1, ops[-1])
+        seq1 += ops
+        phases += 1
+    return Feasible(tuple(seq1 + [o.inverse() for o in reversed(seq2)]), cur1, phases)
 
 
 # ---------------------------------------------------------------------------

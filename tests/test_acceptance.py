@@ -166,34 +166,10 @@ def test_criterion_5_desk_scale_runtime():
         assert validate_sequence(g1, out.sequence, g2).ok
 
 
-def _small_vc_instances():
-    instances = [
-        VCInstance.build(["u", "w"], [("u", "w")], 1),
-        VCInstance.build("abc", [("a", "b"), ("b", "c"), ("a", "c")], 2),
-        VCInstance.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")], 2),
-        VCInstance.build("abc", [("a", "b"), ("b", "c")], 1),
-    ]
-    seed = 0
-    while len(instances) < 20:
-        rng = random.Random(50_000 + seed)
-        seed += 1
-        n = rng.randint(2, 6)
-        names = [f"n{i}" for i in range(n)]
-        edges = [
-            (a, b) for a, b in itertools.combinations(names, 2) if rng.random() < 0.5
-        ]
-        if not edges:
-            continue
-        probe = VCInstance.build(names, edges, n)
-        best = brute_force_vertex_cover(probe)
-        instances.append(VCInstance.build(names, edges, len(best)))
-    return instances
-
-
 def test_criterion_6_hardness_forward_direction():
     with criterion(6, "hardness forward direction"):
         count = 0
-        for inst in _small_vc_instances():
+        for inst in helpers.small_vc_instances():
             cover = brute_force_vertex_cover(inst)
             assert cover is not None
             red = build_reduction(inst)
@@ -207,7 +183,7 @@ def test_criterion_6_hardness_forward_direction():
 
 def test_criterion_7_hardness_structural_properties():
     with criterion(7, "hardness structural properties"):
-        for inst in _small_vc_instances():
+        for inst in helpers.small_vc_instances():
             red = build_reduction(inst)
             g1 = red.g1
             assert is_always_connected(g1) and is_always_connected(red.g2)

@@ -5,6 +5,7 @@ import pytest
 
 from tgr import (
     GraphError,
+    OracleBudget,
     TemporalEdge,
     TemporalGraph,
     VCInstance,
@@ -14,6 +15,7 @@ from tgr import (
     find_bridges,
     generate_random_instance,
     is_always_connected,
+    oracle_min_steps_map,
     oracle_min_steps_to_nonbridge,
     reachability_partition,
     sequence_to_nonbridge,
@@ -240,12 +242,9 @@ def test_ladder_matches_reference_and_pins_back_refs():
         assert table.back_refs[TemporalEdge(i, i + 1, 1)] == TemporalEdge(lo, lo + 2, 2)
 
 
-DEEP_SPARSE_SEEDS = [58, 120, 689, 2863, 3267, 3674, 5366, 5725, 6424, 7258, 7865, 8089, 155752, 185220]
-
-
 def test_sparse_deep_chains_match_crossing_map_reference():
     depth = []
-    for seed in [*range(300), *DEEP_SPARSE_SEEDS]:
+    for seed in [*range(300), *helpers.DEEP_T2_SEEDS, *helpers.DEEP_T3_SEEDS]:
         g = helpers.sparse_instance(seed)
         table = classify(g)
         ref = reference_classify(g)
@@ -255,3 +254,43 @@ def test_sparse_deep_chains_match_crossing_map_reference():
         depth.append(table.max_level)
     assert sum(d >= 3 for d in depth) >= 10
     assert max(depth) >= 4
+
+
+def test_deep_chains_match_the_oracle():
+    # levels and enabling-chain lengths of every edge, on instances with
+    # chains of 3 and 4 levels, against an exhaustive search
+    for seed in helpers.DEEP_T2_SEEDS:
+        g = helpers.sparse_instance(seed)
+        assert g.lifetime == 2
+        table = classify(g)
+        assert table.max_level >= 3, seed
+        first, exhausted = oracle_min_steps_map(g, OracleBudget(max_states=300_000))
+        assert exhausted, seed
+        for e in g.edges:
+            assert table.levels.get(e) == first.get(e), (seed, e)
+            if e in table.levels:
+                assert len(sequence_to_nonbridge(g, table, e)) == first[e], (seed, e)
+
+
+def test_until_stops_at_the_level_its_edges_need(chain2, infeas):
+    full = classify(chain2)
+    by_level = sorted(full.levels, key=full.levels.__getitem__)
+    nonbridge, deepest = by_level[0], by_level[-1]
+    assert full.levels[nonbridge] == 0 and full.levels[deepest] == 2
+    # only non-bridges: no sweep at all
+    assert classify(chain2, until=[nonbridge]).levels == {nonbridge: 0}
+    # a level-1 edge: the sweep ends after level 1, with level 1 complete
+    one = next(e for e in by_level if full.levels[e] == 1)
+    part = classify(chain2, until=[one])
+    assert part.levels == {e: k for e, k in full.levels.items() if k <= 1}
+    assert part.back_refs == {e: b for e, b in full.back_refs.items() if full.levels[e] <= 1}
+    # the deepest edge, or an edge not in the graph: the full sweep
+    foreign = TemporalEdge(1, 3, 1)
+    assert foreign not in chain2.edges
+    for until in ([deepest], [foreign]):
+        assert classify(chain2, until=until) == full
+    assert classify(chain2, until=[]).levels == {}
+    # an edge no sweep levels: the full sweep, so it is seen to be unchangeable
+    g = infeas[0]
+    assert classify(g).unchangeable_edges()
+    assert classify(g, until=g.edges) == classify(g)

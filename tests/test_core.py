@@ -169,6 +169,19 @@ def test_valid_relabel_is_reversible():
             assert apply_relabel(res, o.inverse()) == g
 
 
+def test_lazy_valid_moves_equal_the_listed_moves():
+    # the desk shape: many non-bridges with free slots in 10 snapshots
+    graphs = [helpers.small_instance(seed) for seed in range(200)]
+    graphs.append(generate_random_instance(60, 10, 60, 1))
+    for g in graphs:
+        lazy = helpers.ValidMoves(g)
+        moves = helpers.all_valid_moves(g)
+        assert len(lazy) == len(moves)
+        assert list(lazy) == moves  # item by item, up to the IndexError past the end
+        with pytest.raises(IndexError):
+            lazy[len(moves)]
+
+
 def test_apply_relabel_reaches_tri_target(tri):
     g1, g2 = tri
     assert apply_relabel(g1, op(g1, "a", "c", 1, 2)) == g2

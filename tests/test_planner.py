@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,19 +7,24 @@ from tgr import (
     Feasible,
     GraphError,
     Infeasible,
+    OracleBudget,
     TemporalEdge,
     TemporalGraph,
     UnchangeableEdgeError,
     apply_relabel,
+    build_reduction,
+    check_pair_counts,
+    classify,
     decrease_difference,
     difference,
     feasible,
     generate_random_instance,
     is_always_connected,
+    oracle_shortest_sequence,
     plan,
     validate_sequence,
 )
-from tgr import core
+from tgr import core, planner
 from tgr.core import is_valid_relabel
 
 import helpers
@@ -234,3 +240,104 @@ def test_plan_reruns_the_dfs_only_of_snapshots_a_relabel_touched(monkeypatch):
     out = plan(g1, g2)
     assert isinstance(out, Feasible) and len(out.sequence) >= 8
     assert len(calls) <= 2 * g1.lifetime + 2 * len(out.sequence)
+
+
+def differential_pairs():
+    """Walks of 0..10 valid relabels and label-shuffled targets (either way
+    round) of the deep-chain seeds, 200 criterion-3 style pairs, the
+    reductions of the small Vertex-Cover instances (either way round), and
+    label-shuffled small instances, some of them infeasible."""
+    pairs = []
+    for seed in helpers.DEEP_T2_SEEDS:
+        g = helpers.sparse_instance(seed)
+        rng = random.Random(seed)
+        pairs += [(g, helpers.perturb(g, steps, rng)) for steps in range(11)]
+        for _ in range(3):
+            h = helpers.random_compatible_target(g, rng)
+            if h is not None:
+                pairs += [(g, h), (h, g)]
+    for seed in range(200):
+        rng = random.Random(60_000 + seed)
+        n = rng.randint(2, 50)
+        lifetime = rng.randint(1, 5)
+        extra = rng.randint(0, min(n * (n - 1) // 2 - (n - 1), 3))
+        g1 = generate_random_instance(n, lifetime, extra, seed)
+        pairs.append((g1, helpers.perturb(g1, rng.randint(0, 8), rng)))
+    for inst in helpers.small_vc_instances():
+        red = build_reduction(inst)
+        pairs += [(red.g1, red.g2), (red.g2, red.g1)]
+    for seed in range(200):
+        g = helpers.small_instance(seed)
+        h = helpers.random_compatible_target(g, random.Random(seed))
+        if h is not None:
+            pairs.append((g, h))
+    return pairs
+
+
+def chain(table, e):
+    """``e`` and its back-references down to level 0, with their levels."""
+    out = [(e, table.levels[e])]
+    while out[-1][1] > 0:
+        b = table.back_refs[out[-1][0]]
+        out.append((b, table.levels[b]))
+    return out
+
+
+def test_plan_matches_the_full_sweep_reference():
+    seen = Counter()
+    for g1, g2 in differential_pairs():
+        ref = helpers.reference_plan(g1, g2)
+        out = plan(g1, g2)
+        if isinstance(ref, Feasible):
+            assert isinstance(out, Feasible), (g1, g2)
+            assert (out.sequence, out.phases) == (ref.sequence, ref.phases), (g1, g2)
+        else:
+            assert out == ref, (g1, g2)
+        assert feasible(g1, g2)[0] == isinstance(ref, Feasible)
+        seen[type(ref).__name__] += 1
+        # the partial table of the first phase against the full sweep
+        diff = g1.edges - g2.edges
+        if not diff or not check_pair_counts(g1, g2):
+            continue
+        full, part = classify(g1), classify(g1, until=diff)
+        assert all(full.levels.get(e) == k for e, k in part.levels.items())
+        for e in diff:
+            assert (e in part.levels) == (e in full.levels)
+            if e in full.levels:
+                assert chain(part, e) == chain(full, e), (g1, e)
+        seen["deep"] += max((full.levels.get(e, 0) for e in diff), default=0) >= 2
+        seen["partial"] += len(part.levels) < len(full.levels)
+    assert seen["Feasible"] >= 700 and seen["Infeasible"] >= 30
+    assert seen["deep"] >= 20 and seen["partial"] >= 100
+
+
+def test_plan_raises_when_a_later_phase_finds_an_unchangeable_differing_edge(monkeypatch, tri, infeas):
+    # after the first phase, hand the loop a pair whose differing edges are
+    # unchangeable: the goal-directed sweep must run to its end and say so
+    real = planner._phase
+
+    def phase_then_swap(*args):
+        ops1, ops2, _, _ = real(*args)
+        return ops1, ops2, *infeas
+
+    monkeypatch.setattr(planner, "_phase", phase_then_swap)
+    with pytest.raises(GraphError, match="differing edge became unchangeable mid-plan"):
+        plan(*tri)
+
+
+def test_feasible_matches_oracle_reachability_on_deep_chains():
+    budget = OracleBudget(max_states=300_000)
+    seen = Counter()
+    for seed in helpers.DEEP_T2_SEEDS:
+        g = helpers.sparse_instance(seed)
+        rng = random.Random(seed + 1)
+        targets = [helpers.perturb(g, steps, rng) for steps in (2, 5, 10)]
+        targets += filter(None, (helpers.random_compatible_target(g, rng) for _ in range(4)))
+        for h in targets:
+            out = oracle_shortest_sequence(g, h, budget)
+            assert out.status in ("found", "unreachable"), seed
+            assert feasible(g, h)[0] == (out.status == "found"), (seed, h)
+            seen[out.status] += 1
+    # the only unchangeable edges (seeds 58 and 6424) are pairs that hold
+    # both labels, which no walk or shuffle moves: every pair is reachable
+    assert seen["unreachable"] == 0 and seen["found"] >= 120
