@@ -5,9 +5,13 @@ edges, each active at one integer time in ``1..lifetime``.  Vertices are
 dense indices internally; a name table maps them to external tokens.  One
 lowlink DFS per snapshot (``static_bridges``, cached on the graph) gives
 its connectivity, its bridges and each bridge's two sides.  All operations
-are pure: relabeling an edge returns a new graph value, which keeps the
-cached DFS of every snapshot the relabel leaves alone.  The public
-constructor checks everything; ``_checked_graph`` skips it for checked parts.
+on graph values are pure: relabeling an edge returns a new graph value,
+which keeps the cached DFS of every snapshot the relabel leaves alone.
+Validating a sequence instead walks one private, mutable working copy (the
+edge set and each touched snapshot's neighbour sets), where a step's bridge
+test is a local two-ended search and a step that passes is an O(1) update.
+The public constructor checks everything; ``build`` checks what it reads and
+``_checked_graph`` takes parts that are already checked.
 """
 
 from __future__ import annotations
@@ -104,11 +108,16 @@ class TemporalGraph:
         lifetime: int,
         edges: Iterable[tuple[str, str, int]],
     ) -> "TemporalGraph":
-        """Construct from named edges; rejects self-loops and duplicates."""
+        """Construct from named edges; rejects self-loops and duplicates.
+        Checks everything the public constructor does, in the same order and
+        with the same messages, then skips it."""
+        if lifetime < 1:
+            raise GraphError("lifetime must be at least 1")
         names = tuple(names)
         _require_distinct(names)
         index = {name: i for i, name in enumerate(names)}
         out: set[TemporalEdge] = set()
+        edges_at: dict[int, list[TemporalEdge]] = {}
         for uname, vname, t in edges:
             if uname not in index:
                 raise GraphError(f"undeclared vertex name {uname!r}")
@@ -120,10 +129,13 @@ class TemporalGraph:
             if u > v:
                 u, v = v, u
             e = TemporalEdge(u, v, t)
+            if not 1 <= t <= lifetime:
+                raise GraphError(f"edge time out of range: {e!r}")
             if e in out:
                 raise GraphError(f"duplicate temporal edge {uname} {vname} {t}")
             out.add(e)
-        return cls(names, lifetime, frozenset(out))
+            edges_at.setdefault(t, []).append(e)
+        return _checked_graph(names, lifetime, frozenset(out), edges_at, {})
 
     @property
     def n(self) -> int:
@@ -159,6 +171,10 @@ class TemporalGraph:
             self._dfs_at[t] = static_bridges(self.n, [e[:2] for e in self._edges_at.get(t, ())])
         return self._dfs_at[t]
 
+    def _adj(self, t: int) -> dict[int, set[int]]:
+        """Snapshot ``t`` as a vertex -> neighbour-set dict, built afresh."""
+        return _adjacency(self._edges_at.get(t, ()))
+
     @cached_property
     def _disconnected_at(self) -> int | None:
         """Earliest time whose snapshot is not connected, or None; cached.
@@ -174,7 +190,7 @@ class TemporalGraph:
 
 
 def _checked_graph(names, lifetime, edges, edges_at, dfs_at) -> TemporalGraph:
-    """The graph of parts its caller has checked (the .tg reader, ``apply_relabel``):
+    """The graph of parts its caller has checked (``build``, the .tg reader, ``apply_relabel``):
     ``edges`` a frozenset, ``edges_at`` them by time, ``dfs_at`` cached DFS that hold."""
     out = object.__new__(TemporalGraph)
     out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _edges_at=edges_at, _dfs_at=dfs_at)
@@ -254,6 +270,42 @@ def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> StaticBridges:
     return StaticBridges(below, disc, leave)
 
 
+def _adjacency(edges: Iterable[Sequence[int]]) -> dict[int, set[int]]:
+    """A static graph as a vertex -> neighbour-set dict; each edge's first two
+    fields are its ends.  Vertices without edges are left out."""
+    adj: dict[int, set[int]] = {}
+    for e in edges:
+        u, v = e[0], e[1]
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return adj
+
+
+def _joined_without(adj: dict[int, set[int]], u: int, v: int) -> bool:
+    """Whether ``u`` and ``v`` stay joined in ``adj`` without its edge {u, v},
+    i.e. whether that edge is not a bridge.  A two-ended breadth-first search
+    (Pohl 1971) that grows the side with the smaller frontier by one level:
+    it stops when the sides meet or one side runs out, so it costs O(n + m)
+    at worst and far less for an edge on a short cycle or a small side."""
+    sides = ({u}, {v})
+    frontiers = [[u], [v]]
+    while frontiers[0] and frontiers[1]:
+        i = int(len(frontiers[1]) < len(frontiers[0]))
+        mine, theirs = sides[i], sides[1 - i]
+        grown = []
+        for x in frontiers[i]:
+            for y in adj[x]:
+                if y in theirs:
+                    if x in (u, v) and y in (u, v):
+                        continue  # the edge {u, v} itself
+                    return True
+                if y not in mine:
+                    mine.add(y)
+                    grown.append(y)
+        frontiers[i] = grown
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Temporal operations.
 
@@ -306,12 +358,13 @@ def _slot_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
     return None
 
 
-def _relabel_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
-    """Why ``op`` is not a valid relabel of the always-connected ``g``: the
-    slot rule's verdict, or "disconnects" when it moves a bridge of its
-    snapshot, the only way a relabel can disconnect one; None if valid."""
+def _relabel_fault(g: TemporalGraph | _WorkingCopy, op: RelabelOp) -> str | None:
+    """Why ``op`` is not a valid relabel of the always-connected ``g`` (a graph
+    or the working copy of ``validate_sequence``): the slot rule's verdict,
+    or "disconnects" when it moves a bridge of its snapshot, the only way a
+    relabel can disconnect one; None if valid."""
     fault = _slot_fault(g, op)
-    if fault is None and op.source().pair in g._dfs(op.from_time).below:
+    if fault is None and not _joined_without(g._adj(op.from_time), *op.source().pair):
         return "disconnects"
     return fault
 
@@ -320,7 +373,8 @@ def is_valid_relabel(g: TemporalGraph, op: RelabelOp) -> bool:
     """True iff applying ``op`` to ``g`` keeps every snapshot connected.
 
     Assumes ``g`` is always-connected.  Malformed ops yield False rather
-    than an error.
+    than an error.  The bridge test is the local search of
+    ``validate_sequence`` on the source snapshot, built for this call.
     """
     return _relabel_fault(g, op) is None
 
@@ -346,6 +400,33 @@ def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
     )
 
 
+class _WorkingCopy:
+    """A private, mutable copy of a graph for ``validate_sequence``: its edge
+    set and, from the first time a step touches a snapshot, that snapshot's
+    neighbour sets.  It holds O(M) memory and no n-sized table."""
+
+    def __init__(self, g: TemporalGraph):
+        self.n, self.lifetime, self.edges = g.n, g.lifetime, set(g.edges)
+        self._g = g
+        self._adj_at: dict[int, dict[int, set[int]]] = {}
+
+    def _adj(self, t: int) -> dict[int, set[int]]:
+        if t not in self._adj_at:
+            self._adj_at[t] = self._g._adj(t)  # ``g`` still holds snapshot t
+        return self._adj_at[t]
+
+    def relabel(self, op: RelabelOp) -> None:
+        """Move the edge of an ``op`` that passes the slot rule; O(1)."""
+        src, tgt = op.source(), op.target()
+        self.edges.remove(src)
+        self.edges.add(tgt)
+        old, new = self._adj(src.t), self._adj(tgt.t)
+        old[src.u].discard(src.v)
+        old[src.v].discard(src.u)
+        new.setdefault(tgt.u, set()).add(tgt.v)
+        new.setdefault(tgt.v, set()).add(tgt.u)
+
+
 def validate_sequence(
     g1: TemporalGraph, seq: ReconfigSequence, g2: TemporalGraph
 ) -> ValidationReport:
@@ -353,16 +434,20 @@ def validate_sequence(
     connectivity-preserving, and the final graph equal to ``g2``.
 
     All failures are reported, never raised: the report carries the first
-    failing step index and the failure kind.
+    failing step index and the failure kind.  The steps are replayed on one
+    working copy of ``g1``: each is decided by the relabel rule, whose
+    bridge test is a two-ended search from the ends of the moved edge, and
+    one that passes updates the copy in O(1).  No graph value is built and
+    no snapshot's DFS is rerun.
     """
     require_endpoints(g1, g2)
-    cur = g1
+    cur = _WorkingCopy(g1)
     for i, op in enumerate(seq):
         fault = _relabel_fault(cur, op)
         if fault is not None:
             return ValidationReport(False, len(seq), i, fault, False)
-        cur = apply_relabel(cur, op)
-    final_matches = cur == g2
+        cur.relabel(op)
+    final_matches = cur.edges == g2.edges  # names and lifetime agree already
     return ValidationReport(final_matches, len(seq), None, None, final_matches)
 
 

@@ -29,7 +29,7 @@ from tgr import (
     is_always_connected,
     sequence_to_nonbridge,
 )
-from tgr.core import require_endpoints, static_bridges
+from tgr.core import ValidationReport, _slot_fault, require_endpoints, static_bridges
 from tgr.formats import TG_VERSION, ParseError, _declare, _int, _lookup, _once_int
 
 
@@ -366,6 +366,23 @@ def reference_plan(g1: TemporalGraph, g2: TemporalGraph) -> Feasible | Infeasibl
         seq1 += ops
         phases += 1
     return Feasible(tuple(seq1 + [o.inverse() for o in reversed(seq2)]), cur1, phases)
+
+
+def reference_validate_sequence(g1: TemporalGraph, seq, g2: TemporalGraph) -> ValidationReport:
+    """Slow reference for ``validate_sequence``: each step builds a new graph
+    with ``apply_relabel`` and looks its edge up in the cached lowlink DFS of
+    the source snapshot, which the relabel before it dropped."""
+    require_endpoints(g1, g2)
+    cur = g1
+    for i, o in enumerate(seq):
+        fault = _slot_fault(cur, o)
+        if fault is None and o.source().pair in cur._dfs(o.from_time).below:
+            fault = "disconnects"
+        if fault is not None:
+            return ValidationReport(False, len(seq), i, fault, False)
+        cur = apply_relabel(cur, o)
+    final_matches = cur == g2
+    return ValidationReport(final_matches, len(seq), None, None, final_matches)
 
 
 # ---------------------------------------------------------------------------

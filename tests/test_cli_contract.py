@@ -29,6 +29,8 @@ def workdir(tmp_path, monkeypatch):
     (tmp_path / "path.el").write_text("a b\nb c\n")
     (tmp_path / "bad.tgs").write_text("tgs 1\nr a c 1 x\n")
     (tmp_path / "clash.tgs").write_text("tgs 1\nr a b 1 2\n")
+    (tmp_path / "gone.tgs").write_text("tgs 1\nr a c 2 1\n")
+    (tmp_path / "cut.tgs").write_text("tgs 1\nr c d 2 1\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -92,6 +94,22 @@ FIXTURE_RUNS = [
         1,
         '{"command": "validate", "ok": false, "length": 1, "failed_step": 0,'
         ' "failure": "collision", "final_matches": false}\n',
+        "",
+    ),
+    ("validate --g1 tri1.tg --g2 tri2.tg --seq gone.tgs", 1, "invalid step 0 missing_edge\n", ""),
+    (
+        "validate --json --g1 tri1.tg --g2 tri2.tg --seq gone.tgs",
+        1,
+        '{"command": "validate", "ok": false, "length": 1, "failed_step": 0,'
+        ' "failure": "missing_edge", "final_matches": false}\n',
+        "",
+    ),
+    ("validate --g1 c1.tg --g2 c2.tg --seq cut.tgs", 1, "invalid step 0 disconnects\n", ""),
+    (
+        "validate --json --g1 c1.tg --g2 c2.tg --seq cut.tgs",
+        1,
+        '{"command": "validate", "ok": false, "length": 1, "failed_step": 0,'
+        ' "failure": "disconnects", "final_matches": false}\n',
         "",
     ),
     (

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,10 @@ from tgr import (
     TemporalGraph,
     align_names,
     apply_relabel,
+    brute_force_vertex_cover,
+    build_reduction,
     check_pair_counts,
+    cover_to_sequence,
     difference,
     find_bridges,
     generate_random_instance,
@@ -97,7 +101,11 @@ def test_static_bridges_matches_slow_references():
         pairs = rng.sample(every, rng.randint(0, min(len(every), 2 * n)))
         pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
         dfs = core.static_bridges(n, pairs)
-        assert set(dfs.below) == helpers.naive_static_bridges(n, pairs), (n, pairs)
+        naive = helpers.naive_static_bridges(n, pairs)
+        assert set(dfs.below) == naive, (n, pairs)
+        adj = core._adjacency(pairs)
+        for u, v in pairs:  # the local bridge test of validate_sequence
+            assert core._joined_without(adj, u, v) == ((u, v) not in naive), (n, pairs, (u, v))
         assert sorted(dfs.enter) == list(range(n))
         for bridge, c in dfs.below.items():
             assert c in bridge
@@ -307,6 +315,86 @@ def test_validate_sequence_final_mismatch(tri):
     assert not rep.ok and rep.failed_step is None and not rep.final_matches
 
 
+# The kinds of op in the differential corpus: a valid move, then one kind
+# per way a step can fail.  A malformed op has a vertex or a time out of
+# range, u == v, or from == to.
+OP_KINDS = ("valid", "bridge", "collision", "missing", "malformed")
+
+
+def _op_of_kind(g, kind, rng):
+    """A random op of ``kind`` on the always-connected ``g``, its ends given
+    in either order, or None when ``g`` has no such op."""
+    n, lifetime, edges = g.n, g.lifetime, sorted(g.edges)
+    times = range(1, lifetime + 1)
+    e = rng.choice(edges)
+    other = rng.choice([t for t in times if t != e.t])
+    if kind == "valid":
+        ops = helpers.ValidMoves(g)
+    elif kind == "bridge":
+        ops = [RelabelOp(x.u, x.v, x.t, t) for x in sorted(find_bridges(g)) for t in times
+               if (x.u, x.v, t) not in g.edges]
+    elif kind == "collision":
+        ops = [RelabelOp(x.u, x.v, x.t, t) for x in edges for t in times
+               if t != x.t and (x.u, x.v, t) in g.edges]
+    elif kind == "missing":
+        ops = [RelabelOp(u, v, t, t2) for u, v in itertools.combinations(range(n), 2)
+               for t in times if (u, v, t) not in g.edges for t2 in times if t2 != t]
+    else:
+        bad = rng.choice([0, lifetime + 1])
+        ops = [
+            RelabelOp(e.u, rng.choice([n, n + 3, -1]), e.t, other),
+            RelabelOp(e.u, e.v, *rng.choice([(bad, other), (e.t, bad)])),
+            RelabelOp(e.u, e.u, e.t, other),
+            RelabelOp(e.u, e.v, e.t, e.t),
+        ]
+    o = rng.choice(ops) if ops else None
+    if o is not None and rng.random() < 0.5:
+        o = RelabelOp(o.v, o.u, o.from_time, o.to_time)
+    return o
+
+
+def _differential_cases():
+    """Seeded (g1, sequence, g2) cases: a walk of valid moves that reaches
+    g2 or not (g2 is its start), or the walk, one failing op of a kind drawn
+    evenly, and up to two ops of any kind; each of the six ends as often."""
+    starts = [helpers.small_instance(seed) for seed in range(150)]
+    starts += [helpers.sparse_instance(seed) for seed in range(150)]
+    starts += [helpers.sparse_instance(seed) for seed in helpers.DEEP_T2_SEEDS]
+    reductions = [build_reduction(inst) for inst in helpers.small_vc_instances()[:12]]
+    starts += [red.g1 for red in reductions] + [red.g2 for red in reductions]
+    rng = random.Random(2024)
+    for g in starts:
+        for _ in range(4):
+            seq, cur = [], g
+            for _ in range(rng.randint(1, 8)):
+                o = _op_of_kind(cur, "valid", rng)
+                if o is None:
+                    break
+                seq.append(o)
+                cur = apply_relabel(cur, o)
+            kind = rng.choice(("reached", "mismatched") + OP_KINDS[1:])
+            if kind in OP_KINDS:
+                seq.append(_op_of_kind(cur, kind, rng))
+                seq += [_op_of_kind(cur, rng.choice(OP_KINDS), rng) for _ in range(rng.randint(0, 2))]
+            yield g, [o for o in seq if o is not None], g if kind == "mismatched" else cur
+    for red in reductions:
+        seq = cover_to_sequence(red, brute_force_vertex_cover(red.instance))
+        yield red.g1, seq, red.g2
+        yield red.g1, seq[:-1], red.g2
+
+
+def test_validate_sequence_agrees_with_the_reference_on_a_mixed_corpus():
+    outcomes = Counter()
+    swapped = 0
+    for g1, seq, g2 in _differential_cases():
+        got = validate_sequence(g1, seq, g2)
+        assert got == helpers.reference_validate_sequence(g1, seq, g2), (g1, seq, g2)
+        outcomes[got.failure or ("reached" if got.final_matches else "mismatched")] += 1
+        swapped += sum(o.u > o.v for o in seq[: got.failed_step])
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 100, outcomes
+    assert swapped >= 1000
+
+
 def test_difference_fixtures(tri, infeas):
     g1, g2 = tri
     assert difference(g1, g2) == 1
@@ -395,6 +483,46 @@ def test_repeated_vertex_name_is_named_before_edges_are_read():
         TemporalGraph(("a", "b", "c", "b"), 1, frozenset())
     with pytest.raises(GraphError):
         TemporalGraph.build("ab", 0, [])
+
+
+def _build_inputs(rng):
+    """Seeded ``build`` arguments, valid or with one fault the constructor
+    also rejects: a repeated name, lifetime < 1, or an edge time out of range."""
+    n, lifetime = rng.randint(2, 6), rng.randint(1, 4)
+    names = [f"x{i}" for i in range(n)]
+    slots = [(a, b, t) for a, b in itertools.combinations(names, 2) for t in range(1, lifetime + 1)]
+    edges = [(b, a, t) if rng.random() < 0.5 else (a, b, t) for a, b, t in rng.sample(slots, rng.randint(0, len(slots)))]
+    fault = rng.choice(["none", "name", "lifetime", "time"])
+    if fault == "name":
+        names.insert(rng.randrange(n + 1), rng.choice(names))
+    elif fault == "lifetime":
+        lifetime = rng.choice([0, -2])
+    elif fault == "time":
+        edges.insert(rng.randrange(len(edges) + 1), ("x0", "x1", rng.choice([0, lifetime + 1])))
+    return fault, names, lifetime, edges
+
+
+def test_build_equals_the_public_constructor():
+    rng = random.Random(11)
+    faults = Counter()
+    for _ in range(400):
+        fault, names, lifetime, edges = _build_inputs(rng)
+        index = {name: i for i, name in enumerate(names)}
+        indexed = [TemporalEdge(*sorted((index[a], index[b])), t) for a, b, t in edges]
+        try:
+            want = TemporalGraph(names, lifetime, frozenset(indexed))
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                TemporalGraph.build(names, lifetime, edges)
+            assert str(got.value) == str(exc), (names, lifetime, edges)
+            faults[fault] += 1
+            continue
+        g = TemporalGraph.build(names, lifetime, edges)
+        assert g == want and hash(g) == hash(want)
+        assert [g.snapshot(t) for t in range(1, lifetime + 1)] == [want.snapshot(t) for t in range(1, lifetime + 1)]
+        assert is_always_connected(g) == is_always_connected(want)
+        faults[fault] += 1
+    assert len(faults) == 4 and min(faults.values()) >= 80, faults
 
 
 def test_align_names(tri):
