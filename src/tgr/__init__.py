@@ -39,11 +39,11 @@ from .oracle import (
     OracleBudget,
     SearchOutcome,
     canonical_state,
-    generate_random_instance,
     oracle_min_steps_map,
     oracle_min_steps_to_nonbridge,
     oracle_shortest_sequence,
 )
+from .generator import generate_random_instance
 from .hardness import (
     EdgeGadget,
     ReductionOutput,

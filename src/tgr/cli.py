@@ -43,8 +43,9 @@ from .formats import (
     save_sequence,
     save_temporal_graph,
 )
+from .generator import generate_random_instance
 from .hardness import VCInstance, build_reduction, cover_to_sequence
-from .oracle import OracleBudget, generate_random_instance, oracle_shortest_sequence
+from .oracle import OracleBudget, oracle_shortest_sequence
 from .planner import Feasible, Infeasible, feasible, plan
 from .reachability import is_crossing, reachability_partition
 

@@ -11,9 +11,8 @@ valid by construction.  All searches share one level-expansion step.
 
 from __future__ import annotations
 
-import heapq
-import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .core import (
@@ -22,7 +21,6 @@ from .core import (
     TemporalEdge,
     TemporalGraph,
     require_endpoints,
-    static_bridges,
 )
 
 CanonicalState = tuple[TemporalEdge, ...]
@@ -62,12 +60,23 @@ class _Slots:
     a state's edges in canonical (``sorted``) order, and a relabel is
     ``state ^ src_bit ^ dst_bit``."""
 
-    def __init__(self, *graphs: TemporalGraph):
+    def __init__(self, *graphs: TemporalGraph, memo_size: int):
         self.n, self.lifetime = graphs[0].n, graphs[0].lifetime
         pairs = sorted({e.pair for g in graphs for e in g.edges})
         slots = [TemporalEdge(u, v, t) for u, v in pairs for t in range(1, self.lifetime + 1)]
         self.bit = {e: 1 << i for i, e in enumerate(slots)}
         self.ends = [sum(map(self.bit.__getitem__, g.edges)) for g in graphs]  # the graphs' states
+        bits, T = list(self.bit.values()), self.lifetime
+        # the moves of each slot: to the other slots of its pair, in ascending time
+        self.moves = {bit: [o for o in bits[i - i % T:i - i % T + T] if o != bit] for i, bit in enumerate(bits)}
+        self.masks = [sum(bits[t::T]) for t in range(T)]  # the slots of each snapshot
+        self.adj = [[[] for _ in range(self.n)] for _ in range(T)]  # (neighbour, bit) by snapshot and vertex
+        for e, bit in self.bit.items():
+            self.adj[e.t - 1][e.u].append((e.v, bit))
+            self.adj[e.t - 1][e.v].append((e.u, bit))
+        # With lifetime 2 and fixed pair counts one snapshot's mask fixes the
+        # whole state, so a memo of snapshot masks could never hit there.
+        self.cycles = lru_cache(memo_size)(self._cycles) if T >= 3 else self._cycles
 
     def edges(self, mask: int) -> list[TemporalEdge]:
         return [e for e, bit in self.bit.items() if mask & bit]
@@ -78,11 +87,28 @@ class _Slots:
         return RelabelOp(src.u, src.v, src.t, dst.t)
 
     def nonbridges(self, state: int) -> int:
-        """The non-bridges of ``state``: one ``static_bridges`` per snapshot."""
-        edges, out = self.edges(state), 0
-        for t in range(1, self.lifetime + 1):
-            below = static_bridges(self.n, [e.pair for e in edges if e.t == t]).below
-            out |= sum(self.bit[e] for e in edges if e.t == t and e.pair not in below)
+        """The non-bridges of ``state``, summed over its disjoint snapshots."""
+        return sum(self.cycles(state & mask, t) for t, mask in enumerate(self.masks))
+
+    def _cycles(self, present: int, t: int) -> int:
+        """The non-bridges of snapshot ``t + 1``, whose edges are the bits of
+        ``present``: the edges on the fundamental cycles of a BFS tree from
+        vertex 0 (Paton 1969), where ``path[x]`` masks the tree path to ``x``.
+        Sound because every snapshot of every state is connected: the
+        endpoints pass ``require_endpoints``, and only non-bridges move."""
+        if not present:
+            return 0  # a connected snapshot without edges has at most one vertex
+        adj, path = self.adj[t], [None] * self.n
+        path[0], out, queue = 0, 0, [0]
+        for x in queue:
+            for y, bit in adj[x]:
+                if not present & bit:
+                    continue
+                if path[y] is None:
+                    path[y] = path[x] | bit
+                    queue.append(y)
+                elif not path[x] & bit:  # not x's tree edge, the only one met from a seen vertex
+                    out |= bit | path[x] ^ path[y]
         return out
 
 
@@ -102,9 +128,10 @@ def _expand(space: _Slots, level: list[int], parents: dict, room: int | None,
             return "visit", None
         if room is None:
             continue
-        for e in space.edges(nonbridges):
-            src = space.bit[e]
-            for dst in (src >> e.t - 1 << t for t in range(space.lifetime)):
+        while nonbridges:
+            src = nonbridges & -nonbridges
+            nonbridges ^= src
+            for dst in space.moves[src]:
                 succ = state ^ src ^ dst
                 if state & dst or succ in parents:
                     continue
@@ -149,7 +176,7 @@ def oracle_shortest_sequence(
     budget; once a cap bites, the search stops with "budget".
     """
     require_endpoints(g1, g2)
-    space = _Slots(g1, g2)
+    space = _Slots(g1, g2, memo_size=budget.max_states)
     levels = [[end] for end in space.ends]  # forward, backward
     if levels[0] == levels[1]:
         return SearchOutcome("found", ())
@@ -188,7 +215,7 @@ def oracle_min_steps_to_nonbridge(
     require_endpoints(g)
     if target not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {target!r}")
-    space = _Slots(g)
+    space = _Slots(g, memo_size=budget.max_states)
     status, depth = _forward(space, budget, lambda nonbridges, _: nonbridges & space.bit[target])
     if status == "found":
         return MinStepsOutcome("steps", depth)
@@ -205,73 +232,16 @@ def oracle_min_steps_map(
     graph.  Cheaper than one single-target search per edge.
     """
     require_endpoints(g)
-    space = _Slots(g)
+    space = _Slots(g, memo_size=budget.max_states)
     first: dict[TemporalEdge, int] = {}
+    seen = 0  # the slots in ``first``
 
     def record(nonbridges, depth):
-        first.update((e, depth) for e in space.edges(nonbridges) if e not in first)
+        nonlocal seen
+        if nonbridges & ~seen:
+            first.update((e, depth) for e in space.edges(nonbridges & ~seen))
+            seen |= nonbridges
         return False
 
     status, _ = _forward(space, budget, record)
     return first, status == "exhausted"
-
-
-def _random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
-    """Uniform random labeled tree (sequence decoding)."""
-    if n <= 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges: list[tuple[int, int]] = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return edges
-
-
-def generate_random_instance(
-    n: int, lifetime: int, extra_per_snapshot: int, seed: int
-) -> TemporalGraph:
-    """Always-connected random instance: per snapshot a uniform spanning
-    tree plus ``extra_per_snapshot`` random further edges.  Deterministic
-    per seed.
-    """
-    if n < 1:
-        raise GraphError("need at least one vertex")
-    if lifetime < 1:
-        raise GraphError("lifetime must be at least 1")
-    capacity = n * (n - 1) // 2 - (n - 1)
-    if extra_per_snapshot < 0 or extra_per_snapshot > capacity:
-        raise GraphError(
-            f"extra_per_snapshot must be in 0..{capacity} for n={n}"
-        )
-    rng = random.Random(seed)
-    edges: set[TemporalEdge] = set()
-    for t in range(1, lifetime + 1):
-        tree = _random_tree(n, rng)
-        used = set(tree)
-        for u, v in tree:
-            edges.add(TemporalEdge(u, v, t))
-        if extra_per_snapshot:
-            pool = sorted(
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (u, v) not in used
-            )
-            for u, v in rng.sample(pool, extra_per_snapshot):
-                edges.add(TemporalEdge(u, v, t))
-    names = tuple(f"v{i}" for i in range(n))
-    return TemporalGraph(names, lifetime, frozenset(edges))

@@ -206,8 +206,9 @@ def sparse_instance(seed: int) -> TemporalGraph:
 
 
 # The sparse_instance seeds in 0..19,999 whose enabling chains reach level
-# 3, split by lifetime, plus the known level-4 seeds (lifetime 2).  Only the
-# lifetime-2 ones are oracle-certified in tier-1; the others take seconds each.
+# 3, split by lifetime, plus the known level-4 seeds (lifetime 2).  All are
+# oracle-certified in tier-1; the lifetime-3 ones take about 4 s together on
+# a 2-core machine with Python 3.11.
 DEEP_T2_SEEDS = [
     58, 120, 689, 2863, 3267, 3674, 5366, 5725, 6424, 7258, 8089, 11760, 12702,
     16859, 19006, 155752, 185220, 356114,
@@ -495,6 +496,17 @@ def _bfs(
             parents[nxt] = (op, state)
             queue.append((nxt, depth + 1))
     return ("budget" if depth_capped else "exhausted"), None
+
+
+def reference_nonbridges(space, state: int) -> int:
+    """Slow reference for ``tgr.oracle._Slots.nonbridges``: one
+    ``static_bridges`` per snapshot, then the bits of the edges it does not
+    report as bridges."""
+    edges, out = space.edges(state), 0
+    for t in range(1, space.lifetime + 1):
+        below = static_bridges(space.n, [e.pair for e in edges if e.t == t]).below
+        out |= sum(space.bit[e] for e in edges if e.t == t and e.pair not in below)
+    return out
 
 
 def reference_shortest_sequence(

@@ -259,9 +259,9 @@ def test_sparse_deep_chains_match_crossing_map_reference():
 def test_deep_chains_match_the_oracle():
     # levels and enabling-chain lengths of every edge, on instances with
     # chains of 3 and 4 levels, against an exhaustive search
-    for seed in helpers.DEEP_T2_SEEDS:
+    for seed in [*helpers.DEEP_T2_SEEDS, *helpers.DEEP_T3_SEEDS]:
         g = helpers.sparse_instance(seed)
-        assert g.lifetime == 2
+        assert g.lifetime == (2 if seed in helpers.DEEP_T2_SEEDS else 3), seed
         table = classify(g)
         assert table.max_level >= 3, seed
         first, exhausted = oracle_min_steps_map(g, OracleBudget(max_states=300_000))

@@ -7,11 +7,12 @@ from tgr import (
     GraphError,
     MinStepsOutcome,
     OracleBudget,
+    SearchOutcome,
+    TemporalEdge,
     TemporalGraph,
     canonical_state,
     generate_random_instance,
     find_bridges,
-    is_always_connected,
     oracle_min_steps_map,
     oracle_min_steps_to_nonbridge,
     oracle_shortest_sequence,
@@ -221,17 +222,58 @@ def test_min_steps_match_reference():
             assert oracle_min_steps_to_nonbridge(g, e) == want, (seed, e)
 
 
-@pytest.mark.parametrize("graph", [helpers.chain2(), helpers.small_instance(17)], ids=["chain2", "seed17"])
-def test_min_steps_map_runs_one_dfs_per_snapshot_of_each_state(graph, monkeypatch):
-    assert is_always_connected(graph)  # the endpoint check reads this cached DFS, not the count
+def _count_traversals(monkeypatch) -> list:
+    """Record every snapshot traversal of the oracle's non-bridge masks."""
     calls = []
-    real = tgr.oracle.static_bridges
-    monkeypatch.setattr(tgr.oracle, "static_bridges", lambda *args: calls.append(1) or real(*args))
+    real = tgr.oracle._Slots._cycles
+    monkeypatch.setattr(tgr.oracle._Slots, "_cycles", lambda self, *args: calls.append(args) or real(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("graph", [helpers.chain2(), helpers.small_instance(17)], ids=["chain2", "seed17"])
+def test_min_steps_map_traverses_each_snapshot_of_each_state_at_most_once(graph, monkeypatch):
+    traversals = _count_traversals(monkeypatch)
     first, exhausted = oracle_min_steps_map(graph)
     assert exhausted and first
     states = len(helpers.reachable_graphs(graph))
     assert states > 1
-    assert len(calls) <= graph.lifetime * states
+    assert len(traversals) <= graph.lifetime * states
+
+
+def test_snapshot_memo_traverses_each_distinct_snapshot_once(monkeypatch):
+    g = helpers.sparse_instance(45)
+    assert g.lifetime == 3
+    traversals = _count_traversals(monkeypatch)
+    first, exhausted = oracle_min_steps_map(g)
+    assert exhausted and first
+    reachable = helpers.reachable_graphs(g)
+    snapshots = {(t, frozenset(e for e in edges if e.t == t)) for edges in reachable for t in range(1, g.lifetime + 1)}
+    assert len(traversals) <= len(snapshots) < g.lifetime * len(reachable)
+
+
+def test_nonbridge_masks_match_one_static_bridges_per_snapshot(chain2, infeas):
+    graphs = [*map(helpers.small_instance, range(200)), *map(helpers.sparse_instance, helpers.DEEP_T2_SEEDS),
+              helpers.sparse_instance(45), chain2, infeas[0]]
+    checked = 0
+    for g in graphs:
+        space = tgr.oracle._Slots(g, memo_size=OracleBudget().max_states)
+        for edges in helpers.reachable_graphs(g):
+            state = sum(map(space.bit.__getitem__, edges))
+            assert space.nonbridges(state) == helpers.reference_nonbridges(space, state), (g, sorted(edges))
+            checked += 1
+    assert checked > 6_000
+
+
+@pytest.mark.parametrize("lifetime", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1])
+def test_graphs_without_edges(n, lifetime):
+    g = TemporalGraph(tuple(f"v{i}" for i in range(n)), lifetime, frozenset())
+    assert oracle_shortest_sequence(g, g) == SearchOutcome("found", ())
+    assert oracle_min_steps_map(g) == ({}, True)
+    assert oracle_min_steps_map(g, OracleBudget(max_states=1)) == ({}, True)
+    assert oracle_min_steps_map(g, OracleBudget(max_depth=0)) == ({}, False)
+    with pytest.raises(GraphError, match="not a temporal edge"):
+        oracle_min_steps_to_nonbridge(g, TemporalEdge(0, 1, 1))
 
 
 def test_both_search_sides_share_the_state_budget():
