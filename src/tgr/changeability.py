@@ -8,9 +8,9 @@ helper's pair into the bridge's snapshot closes a cycle through the bridge.
 Edges never reached by this breadth-first sweep can never be relabeled, no
 matter what happens first.  A helper crosses a bridge exactly when the
 bridge lies on the helper's path in the snapshot's cached DFS tree, so
-``classify`` paints those paths with one union-find per snapshot and
-visits each bridge once; it runs no traversal of its own and builds no
-per-edge crossing map.
+``classify`` paints those paths on the bridge forest of ``reachability``,
+one union-find per snapshot, and visits each bridge once; it runs no
+traversal of its own and builds no per-edge crossing map.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Collection, Mapping
 
 from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _snapshot_dfs
+from .reachability import _forest
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     that one edge.  The sweep stops when a level is empty or no bridge is
     left; everything unleveled is unchangeable.
 
-    Per snapshot, a union-find over the DFS tree contracts every edge but
+    Per snapshot, a union-find over ``_forest`` contracts every edge but
     the unleveled bridges; each set is named by its top vertex.  Painting a
     path climbs from each end past the tops that are not ancestors of the
     other end, claiming the bridge above each top and merging it into its
@@ -97,21 +98,9 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
         return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
     painters = {}  # snapshot with unleveled bridges -> (top, enter, leave, above)
     for t, dfs in snapshots.items():
-        if not dfs.below:
-            continue
-        enter, leave = dfs.enter, dfs.leave
-        # unleveled bridge above each set's top: (the bridge, its other endpoint)
-        above = {c: (TemporalEdge(u, v, t), u + v - c) for (u, v), c in dfs.below.items()}
-        top = list(range(g.n))
-        tops: list[int] = []  # the tops on the tree path down to x
-        for x in sorted(range(g.n), key=enter.__getitem__):
-            while tops and leave[tops[-1]] <= enter[x]:
-                tops.pop()
-            if x in above or not tops:
-                tops.append(x)
-            else:
-                top[x] = tops[-1]
-        painters[t] = (top, enter, leave, above)
+        if dfs.below:
+            top, above = _forest(g.n, t, dfs)
+            painters[t] = (top, dfs.enter, dfs.leave, above)
     bridges = [b for *_, above in painters.values() for b, _ in above.values()]
     frontier = sorted(edges.difference(bridges))
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)

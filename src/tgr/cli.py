@@ -25,7 +25,6 @@ from .core import (
     TemporalGraph,
     align_names,
     difference,
-    find_bridges,
     validate_sequence,
 )
 from .formats import (
@@ -47,7 +46,7 @@ from .generator import generate_random_instance
 from .hardness import VCInstance, build_reduction, cover_to_sequence
 from .oracle import OracleBudget, oracle_shortest_sequence
 from .planner import Feasible, Infeasible, feasible, plan
-from .reachability import is_crossing, reachability_partition
+from .reachability import _crossings
 
 
 _Result = tuple[int, dict, str]  # exit code, JSON document without "command", plain text
@@ -155,20 +154,11 @@ def cmd_classify(args) -> _Result:
     doc = {"edges": edges_doc}
     if args.dump_cross:
         bridges_doc = []
-        for b in sorted(find_bridges(g)):
-            part = reachability_partition(g, b)
-            members = [e for e in edges if e != b and is_crossing(part, e.pair)]
-            lines.append(
-                f"bridge {_edge_str(g, b)} sides {len(part.comp_u)} {len(part.comp_v)}"
-            )
+        for b, sides, members in _crossings(g):
+            lines.append(f"bridge {_edge_str(g, b)} sides {sides[0]} {sides[1]}")
             lines.extend(f"  crossing {_edge_str(g, e)}" for e in members)
-            bridges_doc.append(
-                {
-                    **_edge_doc(g, b),
-                    "side_sizes": [len(part.comp_u), len(part.comp_v)],
-                    "crossing": [_edge_doc(g, e) for e in members],
-                }
-            )
+            crossing = [_edge_doc(g, e) for e in members]
+            bridges_doc.append({**_edge_doc(g, b), "side_sizes": list(sides), "crossing": crossing})
         doc["bridges"] = bridges_doc
     return 0, doc, "\n".join(lines)
 

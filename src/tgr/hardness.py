@@ -69,6 +69,15 @@ class VCInstance:
         return sorted(b if a == v else a for a, b in self.edges if v in (a, b))
 
 
+def _incident(inst: VCInstance) -> dict[str, list[tuple[str, str]]]:
+    """Each vertex's edges in ``inst.edges`` order, in one pass over them."""
+    out: dict[str, list[tuple[str, str]]] = {v: [] for v in inst.vertices}
+    for e in inst.edges:
+        out[e[0]].append(e)
+        out[e[1]].append(e)
+    return out
+
+
 @dataclass(frozen=True)
 class EdgeGadget:
     """Names of everything the reduction creates for one instance edge."""
@@ -105,13 +114,13 @@ def build_reduction(inst: VCInstance) -> ReductionOutput:
     gadgets: dict[tuple[str, str], EdgeGadget] = {}
 
     enc = {v: v.translate(_ENCODE) for v in inst.vertices}
-    for v in inst.vertices:
+    for v, incident in _incident(inst).items():
         a = enc[v]
         triple = (f"{a}.1", f"{a}.2", f"{a}.3")
         triples[v] = triple
         names.extend(triple)
         path = [triple[0]]
-        for w in inst.neighbors(v):
+        for w in sorted(y if x == v else x for x, y in incident):
             path.extend((f"{a}_{enc[w]}", f"{a}_{enc[w]}'"))
         path.append(triple[1])
         paths[v] = tuple(path)
@@ -199,8 +208,9 @@ def cover_to_sequence(red: ReductionOutput, cover: Iterable[str]) -> list[Relabe
 
     ops: list[RelabelOp] = []
     fixed: set[tuple[str, str]] = set()
+    incident_to = _incident(inst)
     for v in cover:
-        incident = [e for e in inst.edges if v in e]
+        incident = incident_to[v]
         if not incident:
             continue
         v1, v2, _ = red.vertex_triples[v]

@@ -139,8 +139,14 @@ def reference_dump_cross(g):
 
 @pytest.mark.parametrize(
     "graph",
-    [helpers.chain2, lambda: tgr.generate_random_instance(12, 4, 3, 7)],
-    ids=["chain2", "gen"],
+    [
+        helpers.chain2,
+        lambda: tgr.generate_random_instance(12, 4, 3, 7),
+        lambda: helpers.ladder(40),
+        lambda: helpers.sparse_instance(58),
+        lambda: tgr.build_reduction(tgr.VCInstance.build("abc", [("a", "b"), ("b", "c")], 1)).g1,
+    ],
+    ids=["chain2", "gen", "ladder", "deep_t2", "path_reduction"],
 )
 def test_dump_cross_matches_reference(graph, tmp_path, capsys):
     g = graph()

@@ -102,7 +102,8 @@ def test_vertex_gadget_shape():
             assert (i, j) in snap2
         path = red.paths[v]
         assert path[0] == v1 and path[-1] == v2
-        assert len(path) == 2 + 2 * len(red.instance.neighbors(v))
+        transitions = [f"{v}_{w}{mark}" for w in red.instance.neighbors(v) for mark in ("", "'")]
+        assert path == (v1, *transitions, v2)
         snap1 = set(g1.snapshot(1))
         for x, y in zip(path, path[1:]):
             i, j = sorted((g1.index(x), g1.index(y)))
