@@ -7,10 +7,10 @@ edge crosses its partition: once that helper is a non-bridge, moving the
 helper's pair into the bridge's snapshot closes a cycle through the bridge.
 Edges never reached by this breadth-first sweep can never be relabeled, no
 matter what happens first.  A helper crosses a bridge exactly when the
-bridge lies on the helper's path in the snapshot's cached DFS tree, so
-``classify`` paints those paths on the bridge forest of ``reachability``,
-one union-find per snapshot, and visits each bridge once; it runs no
-traversal of its own and builds no per-edge crossing map.
+bridge lies on the helper's path in the snapshot's cached spanning forest,
+so ``classify`` paints those paths on a copy of the forest's union-find,
+one per snapshot, and visits each bridge once; it runs no traversal of its
+own and builds no per-edge crossing map.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Mapping
 
-from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _snapshot_dfs
-from .reachability import _forest
+from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _find, _snapshot_dfs
 
 
 @dataclass(frozen=True)
@@ -73,18 +72,19 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
 
     Level 0 is the set of non-bridges.  Each level-k helper ``{u, v}``, in
     canonical order, then claims as level k+1 every still-unleveled bridge
-    on the DFS tree path from u to v in each snapshot (exactly the bridges
+    on the tree path from u to v in each snapshot (exactly the bridges
     whose partition it crosses), recording itself as the back-reference.
     A snapshot where the helper's pair already has an edge is skipped: the
     enabling relabel would land on an occupied slot, and the path there is
     that one edge.  The sweep stops when a level is empty or no bridge is
     left; everything unleveled is unchangeable.
 
-    Per snapshot, a union-find over ``_forest`` contracts every edge but
-    the unleveled bridges; each set is named by its top vertex.  Painting a
-    path climbs from each end past the tops that are not ancestors of the
-    other end, claiming the bridge above each top and merging it into its
-    parent's set, so every bridge is visited once (Gabow & Tarjan 1985).
+    Per snapshot, a copy of the cached ``top`` is a union-find that
+    contracts every edge but the unleveled bridges; each set is named by
+    its shallowest vertex.  Painting a path climbs from the deeper of the
+    two tops, claiming the bridge above it and merging it into its parent's
+    set, until the tops meet, so every bridge is visited once (Gabow &
+    Tarjan 1985).
 
     With ``until`` (edges of ``g``), the sweep ends after the first full
     level at which all of them have a level, or at once when all are
@@ -96,12 +96,12 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     snapshots = _snapshot_dfs(g)
     if until is not None and all(e in edges and e[:2] not in snapshots[e.t].below for e in until):
         return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
-    painters = {}  # snapshot with unleveled bridges -> (top, enter, leave, above)
+    painters = {}  # snapshot with unleveled bridges -> (top, parent, depth, above)
     for t, dfs in snapshots.items():
         if dfs.below:
-            top, above = _forest(g.n, t, dfs)
-            painters[t] = (top, dfs.enter, dfs.leave, above)
-    bridges = [b for *_, above in painters.values() for b, _ in above.values()]
+            above = {c: TemporalEdge(u, v, t) for (u, v), c in dfs.below.items()}
+            painters[t] = (list(dfs.top), dfs.parent, dfs.depth, above)
+    bridges = [b for *_, above in painters.values() for b in above.values()]
     frontier = sorted(edges.difference(bridges))
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
@@ -112,29 +112,25 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
         k += 1
         nxt: list[TemporalEdge] = []
         for t in list(painters):
-            top, enter, leave, above = painters[t]
-
-            def find(x: int) -> int:
-                while top[x] != x:
-                    top[x] = top[top[x]]  # path halving
-                    x = top[x]
-                return x
-
+            top, parent, depth, above = painters[t]
             for helper in frontier:
                 u, v, _ = helper
-                cu, cv = top[u], top[v]
-                if top[cu] != cu or top[cv] != cv:
-                    cu, cv = find(cu), find(cv)
-                if cu == cv or (u, v, t) in edges:
+                a, b = top[u], top[v]
+                if top[a] != a or top[b] != b:
+                    a, b = _find(top, a), _find(top, b)
+                if a == b or (u, v, t) in edges:
                     continue
-                for c, other in ((cu, enter[v]), (cv, enter[u])):
-                    while not enter[c] <= other < leave[c]:  # c is no ancestor of the other end
-                        b, parent = above.pop(c)
-                        levels[b] = k
-                        back_refs[b] = helper
-                        nxt.append(b)
-                        top[c] = find(parent)  # merge into the parent's set
-                        c = top[c]
+                while a != b:  # a is the deeper top: claim the bridge above it
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    bridge = above.pop(a)
+                    levels[bridge] = k
+                    back_refs[bridge] = helper
+                    nxt.append(bridge)
+                    p = parent[a]
+                    while top[p] != p:
+                        top[p] = p = top[top[p]]
+                    top[a] = a = p  # merge into the parent's set
                 if not above:
                     del painters[t]
                     break

@@ -53,11 +53,11 @@ _Result = tuple[int, dict, str]  # exit code, JSON document without "command", p
 
 
 def _edge_doc(g: TemporalGraph, e: TemporalEdge) -> dict:
-    return {"u": g.name(e.u), "v": g.name(e.v), "t": e.t}
+    return {"u": g.names[e.u], "v": g.names[e.v], "t": e.t}
 
 
 def _edge_str(g: TemporalGraph, e: TemporalEdge) -> str:
-    return f"{g.name(e.u)} {g.name(e.v)} {e.t}"
+    return f"{g.names[e.u]} {g.names[e.v]} {e.t}"
 
 
 def _load_pair(args) -> tuple[TemporalGraph, TemporalGraph]:
@@ -136,31 +136,28 @@ def cmd_classify(args) -> _Result:
     g = load_temporal_graph(args.g)
     table = classify(g)
     edges = g.sorted_edges()
+    bridges = _crossings(g) if args.dump_cross else None
+    if args.json:  # build only the output that main prints, each edge's part once
+        docs = {e: _edge_doc(g, e) for e in edges}
+        doc = {"edges": [
+            {**docs[e], "level": table.levels.get(e), "via": docs.get(table.back_refs.get(e))} for e in edges
+        ]}
+        if bridges is not None:
+            doc["bridges"] = [
+                {**docs[b], "side_sizes": list(sides), "crossing": [docs[e] for e in members]}
+                for b, sides, members in bridges
+            ]
+        return 0, doc, ""
+    label = {e: _edge_str(g, e) for e in edges}
     lines = []
-    edges_doc = []
     for e in edges:
-        level = table.levels.get(e)
         ref = table.back_refs.get(e)
-        via = f"{g.name(ref.u)},{g.name(ref.v)},{ref.t}" if ref else "-"
-        level_str = "unchangeable" if level is None else str(level)
-        lines.append(f"{_edge_str(g, e)} level={level_str} via={via}")
-        edges_doc.append(
-            {
-                **_edge_doc(g, e),
-                "level": level,
-                "via": _edge_doc(g, ref) if ref else None,
-            }
-        )
-    doc = {"edges": edges_doc}
-    if args.dump_cross:
-        bridges_doc = []
-        for b, sides, members in _crossings(g):
-            lines.append(f"bridge {_edge_str(g, b)} sides {sides[0]} {sides[1]}")
-            lines.extend(f"  crossing {_edge_str(g, e)}" for e in members)
-            crossing = [_edge_doc(g, e) for e in members]
-            bridges_doc.append({**_edge_doc(g, b), "side_sizes": list(sides), "crossing": crossing})
-        doc["bridges"] = bridges_doc
-    return 0, doc, "\n".join(lines)
+        via = f"{g.names[ref.u]},{g.names[ref.v]},{ref.t}" if ref else "-"
+        lines.append(f"{label[e]} level={table.levels.get(e, 'unchangeable')} via={via}")
+    for b, sides, members in bridges or ():
+        lines.append(f"bridge {label[b]} sides {sides[0]} {sides[1]}")
+        lines.extend(f"  crossing {label[e]}" for e in members)
+    return 0, {}, "\n".join(lines)
 
 
 def cmd_diff(args) -> _Result:

@@ -3,10 +3,10 @@
 A temporal graph is a fixed vertex set together with a set of undirected
 edges, each active at one integer time in ``1..lifetime``.  Vertices are
 dense indices internally; a name table maps them to external tokens.  One
-lowlink DFS per snapshot (``static_bridges``, cached on the graph) gives
-its connectivity, its bridges and each bridge's two sides.  All operations
+painted spanning forest per snapshot (``static_bridges``, cached on the
+graph) gives its connectivity, its bridges and their sides.  All operations
 on graph values are pure: relabeling an edge returns a new graph value,
-which keeps the cached DFS of every snapshot the relabel leaves alone.
+which keeps the cached forest of every snapshot the relabel leaves alone.
 Validating a sequence instead walks one private, mutable working copy (the
 edge set and each touched snapshot's neighbour sets), where a step's bridge
 test is a local two-ended search and a step that passes is an O(1) update.
@@ -180,7 +180,7 @@ class TemporalGraph:
         """Earliest time whose snapshot is not connected, or None; cached.
         With n >= 2 an empty snapshot is disconnected, so this stops by M + 1."""
         times = range(1, self.lifetime + 1) if self.n > 1 else ()
-        return next((t for t in times if self._dfs(t).leave[0] < self.n), None)
+        return next((t for t in times if self._dfs(t).parent.count(-1) > 1), None)
 
     def sorted_edges(self) -> list[TemporalEdge]:
         return sorted(self.edges)
@@ -191,7 +191,7 @@ class TemporalGraph:
 
 def _checked_graph(names, lifetime, edges, edges_at, dfs_at) -> TemporalGraph:
     """The graph of parts its caller has checked (``build``, the .tg reader, ``apply_relabel``):
-    ``edges`` a frozenset, ``edges_at`` them by time, ``dfs_at`` cached DFS that hold."""
+    ``edges`` a frozenset, ``edges_at`` them by time, ``dfs_at`` cached forests that hold."""
     out = object.__new__(TemporalGraph)
     out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _edges_at=edges_at, _dfs_at=dfs_at)
     return out
@@ -213,61 +213,76 @@ class ValidationReport:
 # which works on raw edge sets rather than TemporalGraph values).
 
 class StaticBridges(NamedTuple):
-    """One lowlink DFS of a static graph, roots taken in vertex order.
-
-    ``enter[x]`` is x's entry order and ``leave[x]`` the entry order just
-    past its subtree.  ``below`` maps each bridge to its endpoint ``c``
-    farther from the root; removing the bridge leaves on c's side exactly
-    the x with ``enter[c] <= enter[x] < leave[c]``.  With n >= 1 the graph
-    is connected iff ``leave[0] == n``.
+    """A breadth-first spanning forest of a static graph, roots taken in
+    vertex order, with the tree path of every non-tree edge painted.
+    ``parent[x]`` is -1 at a root, and ``order`` lists each vertex after its
+    parent.  ``top[x]`` is the shallowest vertex of x's 2-edge-connected
+    component: a root or the deeper end ``c`` of a bridge, which ``below``
+    maps the bridge to; removing it leaves c's subtree on c's side.  With
+    n >= 1 the graph is connected iff vertex 0 is the only root.
     """
 
     below: dict[tuple[int, int], int]
-    enter: list[int]
-    leave: list[int]
+    parent: list[int]
+    depth: list[int]
+    top: list[int]
+    order: list[int]
+
+
+def _find(top: list[int], x: int) -> int:
+    """The name of x's set in a union-find of tree vertices whose sets are
+    named by their shallowest vertex, halving the path on the way."""
+    while top[x] != x:
+        top[x] = x = top[top[x]]
+    return x
 
 
 def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> StaticBridges:
-    """Bridges of a static simple graph and their sides, via one iterative
-    lowlink DFS (Tarjan 1974); the bridge keys are pairs as given."""
+    """Bridges of a static simple graph and their sides: one breadth-first
+    forest, then the tree path of each non-tree edge painted with a
+    union-find (Westbrook & Tarjan 1992); the tree edges left unpainted are
+    the bridges.  The bridge keys are pairs as given."""
     edge_list = list(pairs)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edge_list):
-        adj[u].append((v, i))
-        adj[v].append((u, i))
-    disc = [-1] * n
-    low = [0] * n
-    leave = [0] * n
-    below: dict[tuple[int, int], int] = {}
-    timer = 0
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edge_list:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-1] * n
+    depth = [-1] * n
+    order: list[int] = []
     for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(adj[root]))]  # (vertex, edge to its parent, neighbours left)
-        while stack:
-            x, parent_edge, neighbours = stack[-1]
-            for y, eid in neighbours:
-                if eid == parent_edge:
-                    continue
-                if disc[y] == -1:
-                    disc[y] = low[y] = timer
-                    timer += 1
-                    stack.append((y, eid, iter(adj[y])))
-                    break
-                if disc[y] < low[x]:
-                    low[x] = disc[y]
-            else:
-                stack.pop()
-                leave[x] = timer
-                if stack:
-                    p = stack[-1][0]
-                    if low[x] < low[p]:
-                        low[p] = low[x]
-                    if low[x] > disc[p]:
-                        below[edge_list[parent_edge]] = x
-    return StaticBridges(below, disc, leave)
+        if depth[root] < 0:
+            depth[root] = 0
+            component = [root]
+            for x in component:  # grows while it is read
+                d = depth[x] + 1
+                for y in adj[x]:
+                    if depth[y] < 0:
+                        depth[y] = d
+                        parent[y] = x
+                        component.append(y)
+            order += component
+    top = list(range(n))
+    tree_edge: list = [None] * n  # each vertex's edge to its parent, as given
+    for e in edge_list:
+        u, v = e
+        if parent[v] == u:
+            tree_edge[v] = e
+        elif parent[u] == v:
+            tree_edge[u] = e
+        else:  # paint the tree path of a non-tree edge
+            u, v = _find(top, u), _find(top, v)
+            while u != v:  # climb from the deeper top, merging it into its parent's set
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                p = parent[u]
+                while top[p] != p:
+                    top[p] = p = top[top[p]]
+                top[u] = u = p
+    for x in order:
+        top[x] = top[top[x]]
+    below = {tree_edge[x]: x for x in order if top[x] == x and parent[x] >= 0}  # unpainted tree edges
+    return StaticBridges(below, parent, depth, top, order)
 
 
 def _adjacency(edges: Iterable[Sequence[int]]) -> dict[int, set[int]]:
@@ -324,7 +339,7 @@ def require_endpoints(*graphs: TemporalGraph) -> None:
 
 
 def _snapshot_dfs(g: TemporalGraph) -> dict[int, StaticBridges]:
-    """The cached DFS of every snapshot, keyed by time; raises unless ``g``
+    """The cached forest of every snapshot, keyed by time; raises unless ``g``
     is always-connected (checking that fills the cache when n >= 2)."""
     if g._disconnected_at is not None:
         raise GraphError(f"snapshot {g._disconnected_at} is not connected")
@@ -334,9 +349,9 @@ def _snapshot_dfs(g: TemporalGraph) -> dict[int, StaticBridges]:
 def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     """All temporal edges whose removal disconnects their snapshot.
 
-    Requires an always-connected input.  Each snapshot's DFS runs once per
-    graph, the first time it is asked for; a graph made by ``apply_relabel``
-    reruns it only for the two snapshots the relabel touched.
+    Requires an always-connected input.  Each snapshot's forest is built once
+    per graph, the first time it is asked for; a graph made by
+    ``apply_relabel`` rebuilds it only for the two snapshots it touched.
     """
     return frozenset(
         TemporalEdge(u, v, t) for t, dfs in _snapshot_dfs(g).items() for u, v in dfs.below
@@ -385,7 +400,7 @@ def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
     Does not require the relabel to be *valid* (connectivity-preserving);
     it only enforces the slot rule, so callers can explore invalid moves
     and detect them afterwards.  The result is derived from ``g``: it keeps
-    the cached DFS of every snapshot the relabel leaves alone.
+    the cached forest of every snapshot the relabel leaves alone.
     """
     fault = _slot_fault(g, op)
     if fault is not None:
@@ -438,7 +453,7 @@ def validate_sequence(
     working copy of ``g1``: each is decided by the relabel rule, whose
     bridge test is a two-ended search from the ends of the moved edge, and
     one that passes updates the copy in O(1).  No graph value is built and
-    no snapshot's DFS is rerun.
+    no snapshot's forest is rebuilt.
     """
     require_endpoints(g1, g2)
     cur = _WorkingCopy(g1)

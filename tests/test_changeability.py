@@ -95,6 +95,11 @@ def test_levels_are_contiguous():
         assert table.max_level == (got[-1] if got else -1)
 
 
+def test_is_changeable(tri, infeas):
+    assert all(classify(tri[0]).is_changeable(e) for e in tri[0].edges)
+    assert not any(classify(infeas[0]).is_changeable(e) for e in infeas[0].edges)
+
+
 def test_level_table_rejects_foreign_edge(tri):
     g1, _ = tri
     table = classify(g1)

@@ -22,10 +22,12 @@ def workdir(tmp_path, monkeypatch):
     c1 = helpers.chain2()
     c2 = tgr.apply_relabel(c1, helpers.op(c1, "b", "c", 1, 2))
     c2 = tgr.apply_relabel(c2, helpers.op(c2, "d", "c", 2, 1))
-    graphs = {"tri1": tri1, "tri2": tri2, "i1": i1, "i2": i2, "c1": c1, "c2": c2}
+    t3 = tgr.TemporalGraph(tri1.names, 3, tri1.edges)  # lifetime 3 against tri1's 2
+    graphs = {"tri1": tri1, "tri2": tri2, "i1": i1, "i2": i2, "c1": c1, "c2": c2, "t3": t3}
     for name, g in graphs.items():
         (tmp_path / f"{name}.tg").write_text(format_temporal_graph(g))
     (tmp_path / "one.tg").write_text("tg 1\nt 1\nv a\n")
+    (tmp_path / "args.tg").write_text("tg 1\nt 2 3\n")
     (tmp_path / "path.el").write_text("a b\nb c\n")
     (tmp_path / "bad.tgs").write_text("tgs 1\nr a c 1 x\n")
     (tmp_path / "clash.tgs").write_text("tgs 1\nr a b 1 2\n")
@@ -199,6 +201,7 @@ FIXTURE_RUNS = [
 
 MISSING = "tgr: [Errno 2] No such file or directory: 'nope.tg'\n"
 BAD_TGS = "tgr: bad.tgs:2: to-time must be an integer, got 'x'\n"
+LIFETIMES = "tgr: graphs have different lifetimes\n"
 
 ERROR_RUNS = [
     ("validate --g1 tri1.tg --g2 tri2.tg --seq bad.tgs", 2, "", BAD_TGS),
@@ -206,6 +209,13 @@ ERROR_RUNS = [
     ("classify --g nope.tg", 2, "", MISSING),
     ("classify --json --g nope.tg", 2, "", MISSING),
     ("check --json --g1 tri1.tg --g2 nope.tg", 2, "", MISSING),
+    ("classify --g args.tg", 2, "", "tgr: args.tg:2: expected 't <lifetime>'\n"),
+    ("check --g1 tri1.tg --g2 t3.tg", 2, "", LIFETIMES),
+    ("plan --g1 tri1.tg --g2 t3.tg", 2, "", LIFETIMES),
+    ("validate --g1 tri1.tg --g2 t3.tg --seq clash.tgs", 2, "", LIFETIMES),
+    ("diff --g1 tri1.tg --g2 t3.tg", 2, "", LIFETIMES),
+    ("oracle --g1 tri1.tg --g2 t3.tg", 2, "", LIFETIMES),
+    ("oracle --json --g1 t3.tg --g2 tri1.tg", 2, "", LIFETIMES),
 ]
 
 REDUCTION_RUNS = [

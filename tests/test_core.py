@@ -106,14 +106,29 @@ def test_static_bridges_matches_slow_references():
         adj = core._adjacency(pairs)
         for u, v in pairs:  # the local bridge test of validate_sequence
             assert core._joined_without(adj, u, v) == ((u, v) not in naive), (n, pairs, (u, v))
-        assert sorted(dfs.enter) == list(range(n))
+        assert sorted(dfs.order) == list(range(n))
+        position = {x: i for i, x in enumerate(dfs.order)}
+        for x in range(n):  # every vertex after its parent, one level deeper
+            p = dfs.parent[x]
+            if p < 0:
+                assert dfs.depth[x] == 0
+            else:
+                assert position[p] < position[x] and dfs.depth[x] == dfs.depth[p] + 1
+        kept = [p for p in pairs if p not in naive]
+        for x in range(n):  # tops name the components of the graph without its bridges
+            joined = helpers.reach(n, kept, x)
+            assert all((dfs.top[x] == dfs.top[y]) == joined[y] for y in range(n)), (n, pairs, x)
         for bridge, c in dfs.below.items():
-            assert c in bridge
-            side = {x for x in range(n) if dfs.enter[c] <= dfs.enter[x] < dfs.leave[c]}
+            assert c in bridge and dfs.parent[c] == sum(bridge) - c  # the bridge's child
+            side = {c}  # c's subtree
+            for x in dfs.order:
+                if dfs.parent[x] in side:
+                    side.add(x)
             assert side == helpers.naive_side(n, pairs, bridge, c), (n, pairs, bridge)
         if n:
             connected = all(helpers.reach(n, pairs))
-            assert (dfs.leave[0] == n) == connected
+            assert (dfs.parent.count(-1) == 1) == connected  # vertex 0 is always a root
+            assert dfs.parent[0] == -1
             disconnected += not connected
         with_bridges += bool(dfs.below)
     assert disconnected >= 100 and with_bridges >= 100
@@ -470,10 +485,20 @@ def test_build_rejects_bad_input():
         TemporalGraph.build("ab", 1, [("a", "a", 1)])
     with pytest.raises(GraphError):
         TemporalGraph.build("ab", 1, [("a", "x", 1)])
+    with pytest.raises(GraphError, match=r"^undeclared vertex name 'x'$"):
+        TemporalGraph.build("ab", 1, [("x", "b", 1)])
     with pytest.raises(GraphError):
         TemporalGraph.build("ab", 1, [("a", "b", 1), ("b", "a", 1)])
     with pytest.raises(GraphError):
         TemporalGraph.build("ab", 1, [("a", "b", 2)])
+
+
+@pytest.mark.parametrize("edge", [(1, 0, 1), (0, 2, 1)])  # u > v, v >= n
+def test_constructor_rejects_bad_edge_endpoints(edge):
+    want = f"bad edge endpoints {TemporalEdge(*edge)!r} for 2 vertices"
+    with pytest.raises(GraphError) as exc:
+        TemporalGraph(("a", "b"), 1, frozenset([edge]))
+    assert str(exc.value) == want
 
 
 def test_repeated_vertex_name_is_named_before_edges_are_read():

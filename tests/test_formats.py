@@ -63,6 +63,7 @@ def test_write_is_deterministic():
         ("tg 1\nt 2\nv a\nv b\ne a a 1\n", 5, "self-loop"),
         ("tg 1\nv a\nv b\ne a b 1\n", 4, "before 't'"),
         ("tg 1\nt 2\nt 2\n", 3, "duplicate 't'"),
+        ("tg 1\nt 2 3\n", 2, "expected 't <lifetime>'"),
         ("tg 1\nt 0\n", 2, "at least 1"),
         ("tg 1\nt two\n", 2, "integer"),
         ("tg 1\nt \u0663\n", 2, "integer"),

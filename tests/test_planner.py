@@ -115,6 +115,13 @@ def test_decrease_difference_rejects_equal(tri):
         decrease_difference(g1, g1)
 
 
+def test_decrease_difference_rejects_pair_count_mismatch(tri):
+    g1, _ = tri
+    g2 = TemporalGraph(g1.names, g1.lifetime, g1.edges | {te(g1, "a", "c", 2)})
+    with pytest.raises(GraphError, match=r"^per-pair label counts differ$"):
+        decrease_difference(g1, g2)
+
+
 def test_decrease_difference_unchangeable_witness(infeas):
     i1, i2 = infeas
     with pytest.raises(UnchangeableEdgeError) as exc:
