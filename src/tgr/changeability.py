@@ -10,22 +10,23 @@ matter what happens first.  A helper crosses a bridge exactly when the
 bridge lies on the helper's path in the snapshot's cached spanning forest,
 so ``classify`` paints those paths on a copy of the forest's union-find,
 one per snapshot, and visits each bridge once; it runs no traversal of its
-own and builds no per-edge crossing map.
+own and builds no per-edge crossing map.  A plan feeds the same sweep from
+the forests it keeps current (``planner``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Mapping
+from typing import AbstractSet, Collection, Iterable, Mapping
 
-from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _find, _snapshot_dfs
+from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _find, _snapshot_forests
 
 
 @dataclass(frozen=True)
 class ChangeTable:
     """Per-edge levels plus back-references; unleveled edges are unchangeable."""
 
-    edges: frozenset[TemporalEdge]
+    edges: AbstractSet[TemporalEdge]
     levels: Mapping[TemporalEdge, int]
     back_refs: Mapping[TemporalEdge, TemporalEdge]
     max_level: int  # largest occupied level, -1 if none
@@ -93,15 +94,28 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     return the other non-bridges, are left out.
     """
     edges = g.edges
-    snapshots = _snapshot_dfs(g)
-    if until is not None and all(e in edges and e[:2] not in snapshots[e.t].below for e in until):
+    forests = _snapshot_forests(g)
+    if until is not None and all(e in edges and e[:2] not in forests[e.t].below for e in until):
         return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
-    painters = {}  # snapshot with unleveled bridges -> (top, parent, depth, above)
-    for t, dfs in snapshots.items():
-        if dfs.below:
-            above = {c: TemporalEdge(u, v, t) for (u, v), c in dfs.below.items()}
-            painters[t] = (list(dfs.top), dfs.parent, dfs.depth, above)
-    bridges = [b for *_, above in painters.values() for b in above.values()]
+    painters = {}
+    for t, forest in forests.items():
+        if forest.below:
+            above = {c: TemporalEdge(u, v, t) for (u, v), c in forest.below.items()}
+            painters[t] = (list(forest.top), forest.parent, forest.depth, above)
+    return _sweep(edges, [b for *_, above in painters.values() for b in above.values()], painters, until)
+
+
+def _sweep(
+    edges: AbstractSet[TemporalEdge],
+    bridges: Iterable[TemporalEdge],
+    painters: dict[int, tuple[list[int], list[int], list[int], dict[int, TemporalEdge]]],
+    until: Collection[TemporalEdge] | None,
+) -> ChangeTable:
+    """The level sweep of ``classify`` from the edges that are not
+    ``bridges``.  ``painters`` maps each snapshot with bridges to a copy of
+    its ``top`` to paint, its ``parent`` and ``depth``, and a copy of its
+    bridges by lower end to claim from; the copies are used up.  ``depth``
+    need only grow from parent to child."""
     frontier = sorted(edges.difference(bridges))
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}

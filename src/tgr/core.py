@@ -10,6 +10,10 @@ which keeps the cached forest of every snapshot the relabel leaves alone.
 Validating a sequence instead walks one private, mutable working copy (the
 edge set and each touched snapshot's neighbour sets), where a step's bridge
 test is a local two-ended search and a step that passes is an O(1) update.
+A plan extends that working copy with private copies of the forests
+(``_Forest``), which it keeps current per relabel instead of rebuilding
+them: an added edge paints its tree path, and a removed one re-grows the
+tree of its 2-edge-connected component.
 The public constructor checks everything; ``build`` checks what it reads and
 ``_checked_graph`` takes parts that are already checked.
 """
@@ -99,7 +103,7 @@ class TemporalGraph:
         # for so far.  An entry depends only on its snapshot's edges, so a
         # relabel's result shares those of the snapshots it leaves alone.
         object.__setattr__(self, "_edges_at", edges_at)
-        object.__setattr__(self, "_dfs_at", {})
+        object.__setattr__(self, "_forest_at", {})
 
     @classmethod
     def build(
@@ -165,11 +169,11 @@ class TemporalGraph:
             raise GraphError(f"snapshot time {t} outside 1..{self.lifetime}")
         return tuple(sorted(e.pair for e in self._edges_at.get(t, ())))
 
-    def _dfs(self, t: int) -> StaticBridges:
+    def _forest(self, t: int) -> StaticBridges:
         """``static_bridges`` of snapshot ``t``; cached on the graph."""
-        if t not in self._dfs_at:
-            self._dfs_at[t] = static_bridges(self.n, [e[:2] for e in self._edges_at.get(t, ())])
-        return self._dfs_at[t]
+        if t not in self._forest_at:
+            self._forest_at[t] = static_bridges(self.n, [e[:2] for e in self._edges_at.get(t, ())])
+        return self._forest_at[t]
 
     def _adj(self, t: int) -> dict[int, set[int]]:
         """Snapshot ``t`` as a vertex -> neighbour-set dict, built afresh."""
@@ -180,7 +184,7 @@ class TemporalGraph:
         """Earliest time whose snapshot is not connected, or None; cached.
         With n >= 2 an empty snapshot is disconnected, so this stops by M + 1."""
         times = range(1, self.lifetime + 1) if self.n > 1 else ()
-        return next((t for t in times if self._dfs(t).parent.count(-1) > 1), None)
+        return next((t for t in times if self._forest(t).parent.count(-1) > 1), None)
 
     def sorted_edges(self) -> list[TemporalEdge]:
         return sorted(self.edges)
@@ -189,11 +193,11 @@ class TemporalGraph:
         return Counter(e[:2] for e in self.edges)
 
 
-def _checked_graph(names, lifetime, edges, edges_at, dfs_at) -> TemporalGraph:
-    """The graph of parts its caller has checked (``build``, the .tg reader, ``apply_relabel``):
-    ``edges`` a frozenset, ``edges_at`` them by time, ``dfs_at`` cached forests that hold."""
+def _checked_graph(names, lifetime, edges, edges_at, forest_at) -> TemporalGraph:
+    """The graph of parts its caller has checked (``build``, the .tg reader, ``apply_relabel``, ``plan``):
+    ``edges`` a frozenset, ``edges_at`` them by time, ``forest_at`` cached forests that hold."""
     out = object.__new__(TemporalGraph)
-    out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _edges_at=edges_at, _dfs_at=dfs_at)
+    out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _edges_at=edges_at, _forest_at=forest_at)
     return out
 
 
@@ -285,6 +289,85 @@ def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> StaticBridges:
     return StaticBridges(below, parent, depth, top, order)
 
 
+class _Forest:
+    """A private copy of the cached forest of snapshot ``t`` of a graph, kept
+    current while edges come and go in that connected snapshot.  ``parent``
+    and ``top`` are as in ``StaticBridges`` (``top`` as a union-find whose
+    chains may be long), ``above`` maps each bridge's lower end to the
+    bridge, and ``bridges``, shared with the caller, gains and loses the
+    same bridges.  ``depth`` need only grow from parent to child: a climb
+    takes the larger label, and the lowest common ancestor's is below both.
+    """
+
+    def __init__(self, g: TemporalGraph, t: int, bridges: set[TemporalEdge]):
+        f = g._forest(t)
+        self.t, self.bridges = t, bridges
+        self.parent, self.depth, self.top = list(f.parent), list(f.depth), list(f.top)
+        self.above = {c: TemporalEdge(u, v, t) for (u, v), c in f.below.items()}
+
+    def add(self, u: int, v: int) -> None:
+        """A new edge {u, v}: paint its tree path, so that each bridge on it
+        becomes a non-bridge.  Costs the path."""
+        parent, depth, top, above = self.parent, self.depth, self.top, self.above
+        a, b = _find(top, u), _find(top, v)
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            self.bridges.remove(above.pop(a))
+            top[a] = a = _find(top, parent[a])
+
+    def remove(self, u: int, v: int, adj: dict[int, set[int]]) -> None:
+        """The edge {u, v} is gone from the snapshot, whose neighbour sets
+        ``adj`` are.  Raises, changing nothing, unless u and v share a
+        2-edge-connected component C.  Otherwise re-grows a breadth-first
+        tree of C from its shallowest vertex r, painting each non-tree edge
+        of C as it is found, and shifts a subtree hanging below C only where
+        its attach vertex's new label reaches it.  Costs C's edges plus the
+        shifted vertices."""
+        parent, depth, top, above = self.parent, self.depth, self.top, self.above
+        r = _find(top, u)
+        if r != _find(top, v):
+            raise GraphError(f"removing the bridge {(u, v)} disconnects snapshot {self.t}")
+        up = parent[r]  # across the bridge above C: only r reaches it
+        position = {r: 0}
+        comp, hanging = [r], []
+        for i, x in enumerate(comp):  # grows while it is read
+            d = depth[x] + 1
+            for y in adj[x]:
+                j = position.get(y)
+                if j is None:
+                    if y == up:
+                        continue
+                    if y in above and parent[y] == x:  # the lower end of a bridge below C
+                        hanging.append(y)
+                        continue
+                    position[y] = len(comp)
+                    comp.append(y)
+                    parent[y], depth[y], top[y] = x, d, y
+                elif j < i and y != parent[x]:  # a non-tree edge, met from its later end: paint it
+                    a, b = _find(top, x), _find(top, y)
+                    while a != b:
+                        if depth[a] < depth[b]:
+                            a, b = b, a
+                        top[a] = a = _find(top, parent[a])
+        for x in comp[1:]:  # parents come first; the tops left are new bridges' lower ends
+            top[x] = top[top[x]]
+            if top[x] == x:
+                p = parent[x]
+                above[x] = bridge = TemporalEdge(min(x, p), max(x, p), self.t)
+                self.bridges.add(bridge)
+        for c in hanging:
+            if depth[c] <= depth[parent[c]]:
+                depth[c] = depth[parent[c]] + 1
+                shifted = [c]
+                for x in shifted:  # grows while it is read
+                    d = depth[x] + 1
+                    for y in adj[x]:
+                        if parent[y] == x and depth[y] < d:
+                            depth[y] = d
+                            shifted.append(y)
+
+
 def _adjacency(edges: Iterable[Sequence[int]]) -> dict[int, set[int]]:
     """A static graph as a vertex -> neighbour-set dict; each edge's first two
     fields are its ends.  Vertices without edges are left out."""
@@ -338,12 +421,12 @@ def require_endpoints(*graphs: TemporalGraph) -> None:
         raise GraphError("endpoint graph is not always-connected")
 
 
-def _snapshot_dfs(g: TemporalGraph) -> dict[int, StaticBridges]:
+def _snapshot_forests(g: TemporalGraph) -> dict[int, StaticBridges]:
     """The cached forest of every snapshot, keyed by time; raises unless ``g``
     is always-connected (checking that fills the cache when n >= 2)."""
     if g._disconnected_at is not None:
         raise GraphError(f"snapshot {g._disconnected_at} is not connected")
-    return g._dfs_at
+    return g._forest_at
 
 
 def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
@@ -354,7 +437,7 @@ def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     ``apply_relabel`` rebuilds it only for the two snapshots it touched.
     """
     return frozenset(
-        TemporalEdge(u, v, t) for t, dfs in _snapshot_dfs(g).items() for u, v in dfs.below
+        TemporalEdge(u, v, t) for t, forest in _snapshot_forests(g).items() for u, v in forest.below
     )
 
 
@@ -411,14 +494,15 @@ def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
     edges_at[tgt.t] = edges_at.get(tgt.t, []) + [tgt]
     return _checked_graph(
         g.names, g.lifetime, g.edges - {src} | {tgt}, edges_at,
-        {t: dfs for t, dfs in g._dfs_at.items() if t not in (src.t, tgt.t)},
+        {t: forest for t, forest in g._forest_at.items() if t not in (src.t, tgt.t)},
     )
 
 
 class _WorkingCopy:
-    """A private, mutable copy of a graph for ``validate_sequence``: its edge
-    set and, from the first time a step touches a snapshot, that snapshot's
-    neighbour sets.  It holds O(M) memory and no n-sized table."""
+    """A private, mutable copy of a graph for ``validate_sequence`` and the
+    planner: its edge set and, from the first time a step touches a
+    snapshot, that snapshot's neighbour sets.  It holds O(M) memory and no
+    n-sized table."""
 
     def __init__(self, g: TemporalGraph):
         self.n, self.lifetime, self.edges = g.n, g.lifetime, set(g.edges)

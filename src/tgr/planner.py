@@ -8,6 +8,12 @@ forward half followed by the reversed target-side half.  A phase needs only
 the levels of the differing edges and the chains below them, so its sweep
 stops at the deepest of them, and never starts when all are non-bridges.
 
+Both sides live in one private planning state, updated in place by every
+relabel; no graph value is built but the meeting graph.  The state keeps a
+copy of each snapshot's bridge forest current for the sweeps: adding an
+edge costs its painted tree path, and removing one costs the edges of its
+2-edge-connected component plus any subtree shifted below it.
+
 One wrinkle: an enabling op can be inapplicable on the target side, namely
 when its destination slot is already occupied there (necessarily by an edge
 only the target has).  Such an op is skipped on that side.  The skip swaps
@@ -25,11 +31,15 @@ from .core import (
     RelabelOp,
     TemporalEdge,
     TemporalGraph,
-    apply_relabel,
+    _checked_graph,
+    _Forest,
+    _slot_fault,
+    _snapshot_forests,
+    _WorkingCopy,
     check_pair_counts,
     require_endpoints,
 )
-from .changeability import ChangeTable, classify, sequence_to_nonbridge
+from .changeability import ChangeTable, _sweep, sequence_to_nonbridge
 
 
 @dataclass(frozen=True)
@@ -56,62 +66,112 @@ class UnchangeableEdgeError(GraphError):
         self.witness = witness
 
 
-def _diff_table(
-    g1: TemporalGraph, g2: TemporalGraph
-) -> tuple[list[TemporalEdge], ChangeTable | None] | Infeasible:
-    """The edges of g1 missing from g2 with g1's level table (None when none
-    differ), or the first differing edge that is unchangeable.  The table is
-    exact only for the differing edges (``classify``'s ``until``)."""
-    diff = sorted(g1.edges - g2.edges)
-    if not diff:
-        return diff, None
-    table = classify(g1, until=diff)
-    for e in diff:
-        if table.levels.get(e) is None:
-            return Infeasible("unchangeable", e)
-    return diff, table
+class _PlanState(_WorkingCopy):
+    """The two sides of a plan while it runs, both starting as copies of
+    the endpoints.  Side 1 is a working copy (its edge set and the
+    neighbour sets of each snapshot a move touched) that also keeps its
+    bridge set and, from the first time a sweep or a move needs one, a
+    private copy of each snapshot's cached forest, which every move keeps
+    current.  Side 2 keeps only its edge set, and ``diff`` the edges only
+    side 1 has.  A level table of the state holds side 1's live edge set,
+    so it is read before the next move.
+    """
+
+    def __init__(self, g1: TemporalGraph, g2: TemporalGraph):
+        super().__init__(g1)
+        self.edges2 = set(g2.edges)
+        self.diff = self.edges - self.edges2
+        forests = _snapshot_forests(g1)
+        # plain (u, v, t) tuples, which equal their TemporalEdge and are faster to make
+        self.bridges = {(u, v, t) for t, f in forests.items() for u, v in f.below}
+        self._unforested = [t for t, f in forests.items() if f.below]  # sweeps need them all
+        self._forests: dict[int, _Forest] = {}
+
+    def forest(self, t: int) -> _Forest:
+        if t not in self._forests:
+            self._forests[t] = _Forest(self._g, t, self.bridges)  # ``g1`` still holds snapshot t
+        return self._forests[t]
+
+    def table(self) -> ChangeTable | Infeasible:
+        """Side 1's level table, exact for the differing edges and their
+        chains (``classify``'s ``until``), or the first differing edge
+        without a level."""
+        diff = self.diff
+        if self.bridges.isdisjoint(diff):
+            return ChangeTable(self.edges, dict.fromkeys(diff, 0), {}, 0 if diff else -1)
+        while self._unforested:
+            self.forest(self._unforested.pop())
+        painters = {
+            t: (list(f.top), f.parent, f.depth, dict(f.above)) for t, f in self._forests.items() if f.above
+        }
+        table = _sweep(self.edges, self.bridges, painters, diff)
+        stuck = [e for e in diff if e not in table.levels]
+        return Infeasible("unchangeable", min(stuck)) if stuck else table
+
+    def move(self, op: RelabelOp) -> None:
+        """Apply ``op`` to side 1; raises if it breaks the slot rule or
+        moves a bridge."""
+        fault = _slot_fault(self, op)
+        if fault is not None:
+            raise GraphError(f"cannot apply {op!r}: {fault}")
+        src, tgt = op.source(), op.target()
+        old, new = self.forest(src.t), self.forest(tgt.t)  # copied before the snapshots change
+        self.relabel(op)
+        new.add(tgt.u, tgt.v)
+        old.remove(src.u, src.v, self._adj(src.t))
+        self.diff.discard(src)
+        if tgt not in self.edges2:
+            self.diff.add(tgt)
+
+    def mirror(self, op: RelabelOp) -> None:
+        """Apply ``op``, whose target slot is free there, to side 2."""
+        src, tgt = op.source(), op.target()
+        if src not in self.edges2:
+            raise GraphError(f"cannot apply {op!r}: missing_edge")
+        self.edges2.remove(src)
+        self.edges2.add(tgt)
+        self.diff.discard(tgt)
+        if src in self.edges:
+            self.diff.add(src)
+
+    def phase(self, table: ChangeTable) -> tuple[list[RelabelOp], list[RelabelOp]]:
+        """One difference-reducing phase: the ops for side 1 and for side 2,
+        applied to both.
+
+        An op is mirrored onto side 2 only when its target slot is free
+        there.  If the slot is occupied, side 2 already has that pair where
+        the op wants it, and skipping the op leaves the set of side-1-only
+        edges untouched, so the rest of the phase goes through unchanged.
+        (Mirroring unconditionally can collide; see the module notes.)
+        """
+        target = min(self.diff, key=lambda e: (table.levels[e], e))
+        ops = sequence_to_nonbridge(self, table, target)
+        ops2: list[RelabelOp] = []
+        for op in ops:
+            self.move(op)
+            if op.target() in self.edges2:
+                continue
+            ops2.append(op)
+            self.mirror(op)
+        u, v, _ = target
+        slots = [t for t in range(1, self.lifetime + 1) if (u, v, t) in self.edges2 and (u, v, t) not in self.edges]
+        if not slots:
+            raise GraphError("no free target slot for differing edge")  # pair counts guarantee one
+        final = RelabelOp(u, v, target.t, slots[0])
+        self.move(final)
+        return ops + [final], ops2
 
 
-def _first_phase(
-    g1: TemporalGraph, g2: TemporalGraph
-) -> tuple[list[TemporalEdge], ChangeTable | None] | Infeasible:
-    """The decision: endpoint precondition, per-pair label counts, then
-    ``_diff_table``.  Reconfiguration is possible exactly when this returns
-    no ``Infeasible``."""
+def _first_phase(g1: TemporalGraph, g2: TemporalGraph) -> tuple[_PlanState, ChangeTable] | Infeasible:
+    """The decision: endpoint precondition, per-pair label counts, then the
+    level table of the differing edges.  Reconfiguration is possible exactly
+    when this returns no ``Infeasible``."""
     require_endpoints(g1, g2)
     if not check_pair_counts(g1, g2):
         return Infeasible("pair_counts", None)
-    return _diff_table(g1, g2)
-
-
-def _phase(
-    g1: TemporalGraph, g2: TemporalGraph, table: ChangeTable, diff: list[TemporalEdge]
-) -> tuple[list[RelabelOp], list[RelabelOp], TemporalGraph, TemporalGraph]:
-    """One difference-reducing phase: the ops for g1 and for g2, and the two
-    graphs after them.
-
-    An op is mirrored onto g2 only when its target slot is free there.  If
-    the slot is occupied, g2 already has that pair where the op wants it,
-    and skipping the op leaves the set of g1-only edges untouched, so the
-    rest of the phase goes through unchanged.  (Mirroring unconditionally
-    can collide; see the planner module notes.)
-    """
-    target = min(diff, key=lambda e: (table.levels[e], e))
-    ops = sequence_to_nonbridge(g1, table, target)
-    h1, h2 = g1, g2
-    ops2: list[RelabelOp] = []
-    for op in ops:
-        h1 = apply_relabel(h1, op)
-        if op.target() in h2.edges:
-            continue
-        ops2.append(op)
-        h2 = apply_relabel(h2, op)
-    u, v, _ = target
-    slots = [t for t in range(1, h1.lifetime + 1) if (u, v, t) in h2.edges and (u, v, t) not in h1.edges]
-    if not slots:
-        raise GraphError("no free target slot for differing edge")  # pair counts guarantee one
-    final = RelabelOp(u, v, target.t, slots[0])
-    return ops + [final], ops2, apply_relabel(h1, final), h2
+    state = _PlanState(g1, g2)
+    table = state.table()
+    return table if isinstance(table, Infeasible) else (state, table)
 
 
 def decrease_difference(
@@ -131,10 +191,10 @@ def decrease_difference(
         if step.witness is None:
             raise GraphError("per-pair label counts differ")
         raise UnchangeableEdgeError(step.witness)
-    diff, table = step
-    if not diff:
+    state, table = step
+    if not state.diff:
         raise GraphError("graphs are already equal")
-    return _phase(g1, g2, table, diff)[:2]
+    return state.phase(table)
 
 
 def feasible(
@@ -152,35 +212,37 @@ def feasible(
 def plan(g1: TemporalGraph, g2: TemporalGraph) -> PlanOutcome:
     """Full decision plus sequence synthesis.
 
-    Runs difference-reducing phases until both sides agree, recomputing the
-    level table on the current g1 each time.  The changeability of every
-    differing edge is rechecked per phase: a violation after the first
-    phase would contradict the construction, so it raises instead of
-    returning Infeasible.
+    Runs difference-reducing phases on one planning state until both sides
+    agree, recomputing the level table of the current side 1 each time.
+    The changeability of every differing edge is rechecked per phase: a
+    violation after the first phase would contradict the construction, so
+    it raises instead of returning Infeasible.
     """
     step = _first_phase(g1, g2)
     if isinstance(step, Infeasible):
         return step
-    diff, table = step
+    state, table = step
     seq1: list[RelabelOp] = []
     seq2: list[RelabelOp] = []
-    cur1, cur2 = g1, g2
     phases = 0
-    while diff:
-        ops1, ops2, cur1, cur2 = _phase(cur1, cur2, table, diff)
+    while state.diff:
+        ops1, ops2 = state.phase(table)
         seq1.extend(ops1)
         seq2.extend(ops2)
         phases += 1
-        step = _diff_table(cur1, cur2)
-        if isinstance(step, Infeasible):
+        table = state.table()
+        if isinstance(table, Infeasible):
             raise GraphError(
-                f"differing edge became unchangeable mid-plan: {step.witness!r}"
+                f"differing edge became unchangeable mid-plan: {table.witness!r}"
             )
-        diff, table = step
-    if cur1 != cur2:
+    if state.edges != state.edges2:
         raise GraphError("plan did not converge to a common graph")
     sequence = tuple(seq1 + [op.inverse() for op in reversed(seq2)])
     m = g1.m
     if len(sequence) > 2 * m * m:
         raise GraphError("plan exceeded the quadratic length bound")
-    return Feasible(sequence, cur1, phases)
+    edges_at: dict[int, list[TemporalEdge]] = {}
+    for e in state.edges:
+        edges_at.setdefault(e.t, []).append(e)
+    meeting = _checked_graph(g1.names, g1.lifetime, frozenset(state.edges), edges_at, {})
+    return Feasible(sequence, meeting, phases)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GraphError, TemporalEdge, TemporalGraph, _snapshot_dfs
+from .core import GraphError, TemporalEdge, TemporalGraph, _snapshot_forests
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,13 @@ def reachability_partition(g: TemporalGraph, bridge: TemporalEdge) -> Reachabili
     bridge = TemporalEdge(*bridge)
     if bridge not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {bridge!r}")
-    dfs = _snapshot_dfs(g)[bridge.t]
-    if bridge.pair not in dfs.below:
+    forest = _snapshot_forests(g)[bridge.t]
+    if bridge.pair not in forest.below:
         raise GraphError(f"not a bridge: {bridge!r}")
-    c = dfs.below[bridge.pair]
+    c = forest.below[bridge.pair]
     inside = {c}  # c's subtree: parents come first in ``order``
-    for x in dfs.order:
-        if dfs.parent[x] in inside:
+    for x in forest.order:
+        if forest.parent[x] in inside:
             inside.add(x)
     side_c = frozenset(inside)
     rest = frozenset(range(g.n)) - side_c
@@ -61,11 +61,11 @@ def _crossings(g: TemporalGraph) -> list[tuple[TemporalEdge, tuple[int, int], li
     merging: O(M) per snapshot with bridges, plus the output."""
     edges = g.sorted_edges()
     found = []
-    for t, dfs in _snapshot_dfs(g).items():
-        if not dfs.below:
+    for t, forest in _snapshot_forests(g).items():
+        if not forest.below:
             continue
-        parent, depth, top = dfs.parent, dfs.depth, dfs.top
-        above = {c: TemporalEdge(u, v, t) for (u, v), c in dfs.below.items()}  # by the top below the bridge
+        parent, depth, top = forest.parent, forest.depth, forest.top
+        above = {c: TemporalEdge(u, v, t) for (u, v), c in forest.below.items()}  # by the top below the bridge
         members: dict[int, list[TemporalEdge]] = {c: [] for c in above}
         for e in edges:
             a, b = top[e.u], top[e.v]
@@ -76,7 +76,7 @@ def _crossings(g: TemporalGraph) -> list[tuple[TemporalEdge, tuple[int, int], li
                     members[a].append(e)
                 a = top[parent[a]]
         size = [1] * g.n  # subtree sizes
-        for x in reversed(dfs.order[1:]):  # the one root comes first
+        for x in reversed(forest.order[1:]):  # the one root comes first
             size[parent[x]] += size[x]
         for c, b in above.items():
             side = size[c]

@@ -377,7 +377,7 @@ def reference_validate_sequence(g1: TemporalGraph, seq, g2: TemporalGraph) -> Va
     cur = g1
     for i, o in enumerate(seq):
         fault = _slot_fault(cur, o)
-        if fault is None and o.source().pair in cur._dfs(o.from_time).below:
+        if fault is None and o.source().pair in cur._forest(o.from_time).below:
             fault = "disconnects"
         if fault is not None:
             return ValidationReport(False, len(seq), i, fault, False)

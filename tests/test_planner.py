@@ -18,13 +18,14 @@ from tgr import (
     decrease_difference,
     difference,
     feasible,
+    find_bridges,
     generate_random_instance,
     is_always_connected,
     oracle_shortest_sequence,
     plan,
     validate_sequence,
 )
-from tgr import core, planner
+from tgr import RelabelOp, core, planner, reachability
 from tgr.core import is_valid_relabel
 
 import helpers
@@ -224,9 +225,10 @@ def test_target_not_always_connected_is_rejected(seed):
             query(g1, g2)
 
 
-def test_plan_reruns_the_dfs_only_of_snapshots_a_relabel_touched(monkeypatch):
+def test_plan_builds_forests_only_for_the_endpoint_checks(monkeypatch):
     # desk-shaped pair: `tgr gen 60 6 60` and 8 valid relabels on distinct
-    # pairs; each phase re-classifies, and a relabel changes two snapshots
+    # pairs; each phase re-classifies, and the planning state keeps the
+    # forests of the snapshots a relabel changes current instead of rebuilding
     rng = random.Random(3)
     g1 = generate_random_instance(60, 6, 60, 3)
     g2, moved = g1, set()
@@ -246,7 +248,97 @@ def test_plan_reruns_the_dfs_only_of_snapshots_a_relabel_touched(monkeypatch):
     monkeypatch.setattr(core, "static_bridges", counting)
     out = plan(g1, g2)
     assert isinstance(out, Feasible) and len(out.sequence) >= 8
-    assert len(calls) <= 2 * g1.lifetime + 2 * len(out.sequence)
+    assert len(calls) <= 2 * g1.lifetime
+
+
+
+def forest_faults(state, t):
+    """How the planning state's forest of snapshot ``t`` differs from a
+    fresh ``static_bridges`` of that snapshot's current edges."""
+    n, f = state.n, state.forest(t)
+    pairs = {e.pair for e in state.edges if e.t == t}
+    fresh = core.static_bridges(n, sorted(pairs))
+    faults = []
+    if {b.pair for b in f.above.values()} != set(fresh.below):
+        faults.append("bridges")
+    if any(b.pair != tuple(sorted((c, f.parent[c]))) or b.t != t for c, b in f.above.items()):
+        faults.append("bridge not above its lower end")
+    if [x for x in range(n) if f.parent[x] < 0] != [0] or any(
+        f.parent[x] >= 0 and tuple(sorted((x, f.parent[x]))) not in pairs for x in range(n)
+    ):
+        faults.append("not a spanning tree of the snapshot")
+    if any(f.parent[x] >= 0 and f.depth[x] <= f.depth[f.parent[x]] for x in range(n)):
+        faults.append("labels do not grow from parent to child")
+    classes = [core._find(f.top, x) for x in range(n)]
+    if len(set(zip(classes, fresh.top))) != len(set(classes)) or len(set(classes)) != len(set(fresh.top)):
+        faults.append("2-edge-connected classes")
+    return faults
+
+
+def relabel_walk_instances():
+    """Seeded instances with at least one edge to move, and how many steps
+    to walk on each: the ladder, whose snapshot 2 is one large 2-edge-
+    connected component, the reductions of the small Vertex-Cover
+    instances, which are mostly bridges, the deep-chain seeds, and random
+    graphs of up to 40 vertices."""
+    out = [(helpers.ladder(30), 60)]
+    out += [(build_reduction(inst).g1, 25) for inst in helpers.small_vc_instances()]
+    out += [(helpers.sparse_instance(seed), 15) for seed in helpers.DEEP_T2_SEEDS]
+    out += [(generate_random_instance(40, 3, 12, seed), 30) for seed in range(6)]
+    return out
+
+
+def test_planning_state_forests_match_fresh_static_bridges():
+    seen = Counter()
+    for i, (g, steps) in enumerate(relabel_walk_instances()):
+        rng = random.Random(i)
+        state = planner._PlanState(g, g)
+        for _ in range(steps):
+            fresh = {t: core.static_bridges(g.n, [e.pair for e in state.edges if e.t == t]).below
+                     for t in range(1, g.lifetime + 1)}
+            bridges = {TemporalEdge(u, v, t) for t, below in fresh.items() for u, v in below}
+            assert state.bridges == bridges
+            if bridges:
+                b = rng.choice(sorted(bridges))
+                with pytest.raises(GraphError, match="disconnects"):
+                    state.forest(b.t).remove(b.u, b.v, state._adj(b.t))
+                assert forest_faults(state, b.t) == [], (i, b)
+            moves = [
+                RelabelOp(e.u, e.v, e.t, t)
+                for e in sorted(state.edges) if e.pair not in fresh[e.t]
+                for t in range(1, g.lifetime + 1) if (e.u, e.v, t) not in state.edges
+            ]
+            if not moves:
+                break
+            o = rng.choice(moves)
+            f = state.forest(o.from_time)
+            r = core._find(f.top, o.u)
+            component = {x for x in range(g.n) if core._find(f.top, x) == r}
+            before = list(f.depth)
+            seen["tree" if o.u == f.parent[o.v] or o.v == f.parent[o.u] else "non-tree"] += 1
+            state.move(o)
+            for t in (o.from_time, o.to_time):
+                assert forest_faults(state, t) == [], (i, o, t)
+            seen["moves"] += 1
+            seen["large"] += len(component) >= 20
+            seen["shift"] += any(f.depth[x] != before[x] for x in range(g.n) if x not in component)
+    assert seen["tree"] and seen["non-tree"] and seen["large"] and seen["shift"], seen
+
+
+def test_plan_leaves_the_cached_forests_of_its_input_alone():
+    # the planning state copies g1's forests: sharing a list with the cache
+    # would change what later queries, and later plans, read from g1
+    red = build_reduction(helpers.small_vc_instances()[2])
+    ladder = helpers.ladder(30)
+    moved = TemporalGraph(ladder.names, 2, ladder.edges - {TemporalEdge(3, 5, 2)} | {TemporalEdge(3, 5, 1)})
+    for g1, g2 in ((red.g1, red.g2), (ladder, moved)):
+        queries = (classify, find_bridges, reachability._crossings)
+        before = [q(g1) for q in queries]
+        first = plan(g1, g2)
+        assert isinstance(first, Feasible) and first.sequence
+        assert [q(g1) for q in queries] == before
+        assert [q(TemporalGraph(g1.names, g1.lifetime, g1.edges)) for q in queries] == before
+        assert plan(g1, g2) == first
 
 
 def differential_pairs():
@@ -321,13 +413,14 @@ def test_plan_matches_the_full_sweep_reference():
 def test_plan_raises_when_a_later_phase_finds_an_unchangeable_differing_edge(monkeypatch, tri, infeas):
     # after the first phase, hand the loop a pair whose differing edges are
     # unchangeable: the goal-directed sweep must run to its end and say so
-    real = planner._phase
+    real = planner._PlanState.phase
 
-    def phase_then_swap(*args):
-        ops1, ops2, _, _ = real(*args)
-        return ops1, ops2, *infeas
+    def phase_then_swap(state, table):
+        ops = real(state, table)
+        state.__init__(*infeas)
+        return ops
 
-    monkeypatch.setattr(planner, "_phase", phase_then_swap)
+    monkeypatch.setattr(planner._PlanState, "phase", phase_then_swap)
     with pytest.raises(GraphError, match="differing edge became unchangeable mid-plan"):
         plan(*tri)
 
