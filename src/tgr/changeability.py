@@ -110,18 +110,23 @@ def _sweep(
     bridges: Iterable[TemporalEdge],
     painters: dict[int, tuple[list[int], list[int], list[int], dict[int, TemporalEdge]]],
     until: Collection[TemporalEdge] | None,
+    known: AbstractSet[TemporalEdge] = frozenset(),
 ) -> ChangeTable:
     """The level sweep of ``classify`` from the edges that are not
     ``bridges``.  ``painters`` maps each snapshot with bridges to a copy of
     its ``top`` to paint, its ``parent`` and ``depth``, and a copy of its
     bridges by lower end to claim from; the copies are used up.  ``depth``
-    need only grow from parent to child."""
+    need only grow from parent to child.  With ``until``, it stops after
+    the first full level at which some edge of ``until`` has a level and
+    every one without is in ``known``, edges already shown changeable; the
+    levels up to there, and their chains, are exact."""
     frontier = sorted(edges.difference(bridges))
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
+    pending = [e for e in until or () if e not in known]
     k = 0
     while frontier and painters:
-        if until is not None and all(map(levels.__contains__, until)):
+        if until and all(map(levels.__contains__, pending)) and any(map(levels.__contains__, until)):
             break  # every level so far, and every chain down from until, is final
         k += 1
         nxt: list[TemporalEdge] = []

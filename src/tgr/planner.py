@@ -4,9 +4,12 @@ A plan is found by repeatedly shrinking the set of differing edges: pick the
 differing edge with the lowest level, run its enabling sequence on *both*
 graphs, then move the differing edge itself onto a slot the target side has
 free.  Both graphs march toward a common labeling; the final answer is the
-forward half followed by the reversed target-side half.  A phase needs only
-the levels of the differing edges and the chains below them, so its sweep
-stops at the deepest of them, and never starts when all are non-bridges.
+forward half followed by the reversed target-side half.  Relabels are
+reversible, so graphs that reach each other reach the same graphs, and
+whether a slot can carry a non-bridge is fixed among them.  The first
+table shows every differing edge changeable for the whole plan (the
+difference only shrinks), so a later phase sweeps only to its target's
+level, and not at all when some differing edge is a non-bridge.
 
 Both sides live in one private planning state, updated in place by every
 relabel; no graph value is built but the meeting graph.  The state keeps a
@@ -72,9 +75,10 @@ class _PlanState(_WorkingCopy):
     neighbour sets of each snapshot a move touched) that also keeps its
     bridge set and, from the first time a sweep or a move needs one, a
     private copy of each snapshot's cached forest, which every move keeps
-    current.  Side 2 keeps only its edge set, and ``diff`` the edges only
-    side 1 has.  A level table of the state holds side 1's live edge set,
-    so it is read before the next move.
+    current.  Side 2 keeps only its edge set, ``diff`` the edges only side
+    1 has, and ``known`` the differing edges a table has levelled.  A level
+    table of the state holds side 1's live edge set, so it is read before
+    the next move.
     """
 
     def __init__(self, g1: TemporalGraph, g2: TemporalGraph):
@@ -86,6 +90,7 @@ class _PlanState(_WorkingCopy):
         self.bridges = {(u, v, t) for t, f in forests.items() for u, v in f.below}
         self._unforested = [t for t, f in forests.items() if f.below]  # sweeps need them all
         self._forests: dict[int, _Forest] = {}
+        self.known: set[TemporalEdge] = set()
 
     def forest(self, t: int) -> _Forest:
         if t not in self._forests:
@@ -93,20 +98,27 @@ class _PlanState(_WorkingCopy):
         return self._forests[t]
 
     def table(self) -> ChangeTable | Infeasible:
-        """Side 1's level table, exact for the differing edges and their
-        chains (``classify``'s ``until``), or the first differing edge
-        without a level."""
+        """Side 1's level table, exact only up to its stop level, or the
+        first differing edge neither levelled nor ``known``.  The sweep
+        stops at the first full level that levels some differing edge and
+        all but the ``known`` ones; none runs when some differing edge is a
+        non-bridge and every differing bridge is ``known``."""
         diff = self.diff
-        if self.bridges.isdisjoint(diff):
-            return ChangeTable(self.edges, dict.fromkeys(diff, 0), {}, 0 if diff else -1)
+        free = diff - self.bridges
+        if (free or not diff) and diff - free <= self.known:
+            self.known |= free
+            return ChangeTable(self.edges, dict.fromkeys(free, 0), {}, 0 if free else -1)
         while self._unforested:
             self.forest(self._unforested.pop())
         painters = {
             t: (list(f.top), f.parent, f.depth, dict(f.above)) for t, f in self._forests.items() if f.above
         }
-        table = _sweep(self.edges, self.bridges, painters, diff)
-        stuck = [e for e in diff if e not in table.levels]
-        return Infeasible("unchangeable", min(stuck)) if stuck else table
+        table = _sweep(self.edges, self.bridges, painters, diff, self.known)
+        stuck = [e for e in diff if e not in table.levels and e not in self.known]
+        if stuck:
+            return Infeasible("unchangeable", min(stuck))
+        self.known |= diff
+        return table
 
     def move(self, op: RelabelOp) -> None:
         """Apply ``op`` to side 1; raises if it breaks the slot rule or
@@ -144,7 +156,7 @@ class _PlanState(_WorkingCopy):
         edges untouched, so the rest of the phase goes through unchanged.
         (Mirroring unconditionally can collide; see the module notes.)
         """
-        target = min(self.diff, key=lambda e: (table.levels[e], e))
+        _, target = min((table.levels[e], e) for e in self.diff if e in table.levels)
         ops = sequence_to_nonbridge(self, table, target)
         ops2: list[RelabelOp] = []
         for op in ops:
@@ -213,9 +225,9 @@ def plan(g1: TemporalGraph, g2: TemporalGraph) -> PlanOutcome:
     """Full decision plus sequence synthesis.
 
     Runs difference-reducing phases on one planning state until both sides
-    agree, recomputing the level table of the current side 1 each time.
-    The changeability of every differing edge is rechecked per phase: a
-    violation after the first phase would contradict the construction, so
+    agree, recomputing the level table of the current side 1 each time, as
+    deep as its target needs.  A differing edge that a table neither levels
+    nor has shown changeable before would contradict the construction, so
     it raises instead of returning Infeasible.
     """
     step = _first_phase(g1, g2)

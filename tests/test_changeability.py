@@ -299,3 +299,22 @@ def test_until_stops_at_the_level_its_edges_need(chain2, infeas):
     g = infeas[0]
     assert classify(g).unchangeable_edges()
     assert classify(g, until=g.edges) == classify(g)
+
+
+def test_changeability_is_fixed_for_a_reconfiguration_class(chain2):
+    # relabels are reversible, so graphs that reach each other reach the
+    # same graphs: a slot is levelled in every graph of the class that has
+    # it, or in none (the planner's known slots rest on this)
+    seen = {"graphs": 0, "unchangeable": 0, "moved": 0}
+    for g in [chain2] + [helpers.small_instance(seed) for seed in range(100)]:
+        tables = {
+            edges: classify(TemporalGraph(g.names, g.lifetime, edges)).levels.keys()
+            for edges in helpers.reachable_graphs(g)
+        }
+        changeable = set().union(*tables.values())
+        for edges, levelled in tables.items():
+            assert levelled == edges & changeable, (g, edges)
+            seen["unchangeable"] += len(edges - levelled)
+        seen["graphs"] += len(tables)
+        seen["moved"] += len(changeable - g.edges)
+    assert seen["graphs"] >= 600 and seen["unchangeable"] and seen["moved"], seen

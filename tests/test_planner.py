@@ -23,6 +23,7 @@ from tgr import (
     is_always_connected,
     oracle_shortest_sequence,
     plan,
+    sequence_to_nonbridge,
     validate_sequence,
 )
 from tgr import RelabelOp, core, planner, reachability
@@ -423,6 +424,65 @@ def test_plan_raises_when_a_later_phase_finds_an_unchangeable_differing_edge(mon
     monkeypatch.setattr(planner._PlanState, "phase", phase_then_swap)
     with pytest.raises(GraphError, match="differing edge became unchangeable mid-plan"):
         plan(*tri)
+
+
+def test_plan_raises_mid_plan_with_the_known_slots_carried_over(monkeypatch, tri, infeas):
+    # known slots only spare sweeps: an unchangeable differing edge is never
+    # among them, so the swapped-in pair still fails the mid-plan check
+    real = planner._PlanState.phase
+
+    def phase_then_swap(state, table):
+        ops = real(state, table)
+        known = state.known
+        assert known
+        state.__init__(*infeas)
+        state.known = known
+        return ops
+
+    monkeypatch.setattr(planner._PlanState, "phase", phase_then_swap)
+    with pytest.raises(GraphError, match="differing edge became unchangeable mid-plan"):
+        plan(*tri)
+
+
+def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
+    # a plan's sweeps stop at its target's level and pass over the slots it
+    # has shown changeable; each phase must still move the target, along
+    # the chain, that a full level table of side 1 gives
+    real_phase, real_table, real_sweep = planner._PlanState.phase, planner._PlanState.table, planner._sweep
+    seen = Counter()
+
+    def sweep(edges, bridges, painters, until, known):
+        table = real_sweep(edges, bridges, painters, until, known)
+        seen["sweeps"] += 1
+        seen["stopped short of a known edge"] += any(e in known and e not in table.levels for e in until)
+        return table
+
+    def table(state):
+        sweeps, bridged = seen["sweeps"], not state.bridges.isdisjoint(state.diff)
+        out = real_table(state)
+        seen["no sweep past a known bridge"] += bridged and seen["sweeps"] == sweeps
+        return out
+
+    def phase(state, table):
+        g = TemporalGraph(state._g.names, state.lifetime, frozenset(state.edges))
+        full = classify(g)
+        target = min(state.diff, key=lambda e: (full.levels[e], e))
+        ops1, ops2 = real_phase(state, table)
+        assert ops1[-1].source() == target and ops1[:-1] == sequence_to_nonbridge(g, full, target), g
+        seen["phases"] += 1
+        return ops1, ops2
+
+    monkeypatch.setattr(planner, "_sweep", sweep)
+    monkeypatch.setattr(planner._PlanState, "table", table)
+    monkeypatch.setattr(planner._PlanState, "phase", phase)
+    for inst in helpers.small_vc_instances():
+        red = build_reduction(inst)
+        assert isinstance(plan(red.g1, red.g2), Feasible)
+    # sweeping in every phase whose difference holds a bridge takes 136 here
+    assert seen["phases"] == 156 and seen["sweeps"] <= 78, seen
+    for g1, g2 in differential_pairs():
+        plan(g1, g2)
+    assert seen["stopped short of a known edge"] and seen["no sweep past a known bridge"], seen
 
 
 def test_feasible_matches_oracle_reachability_on_deep_chains():
