@@ -9,17 +9,29 @@ Edges never reached by this breadth-first sweep can never be relabeled, no
 matter what happens first.  A helper crosses a bridge exactly when the
 bridge lies on the helper's path in the snapshot's cached spanning forest,
 so ``classify`` paints those paths on a copy of the forest's union-find,
-one per snapshot, and visits each bridge once; it runs no traversal of its
-own and builds no per-edge crossing map.  A plan feeds the same sweep from
-the forests it keeps current (``planner``).
+one per snapshot, and claims each bridge once from a copy of the forest's
+bridge map; it runs no traversal of its own and builds no per-edge
+crossing map.  ``_sweep`` is the one way in: ``classify``, which also
+decides feasibility (``planner``), stops once every edge it is asked about
+has a level, and a plan feeds it the forests it keeps current and stops at
+the first level that levels any differing edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Collection, Iterable, Mapping
+from typing import AbstractSet, Callable, Collection, Iterable, Mapping
 
-from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph, _find, _snapshot_forests
+from .core import (
+    GraphError,
+    RelabelOp,
+    StaticBridges,
+    TemporalEdge,
+    TemporalGraph,
+    _find,
+    _Forest,
+    _snapshot_forests,
+)
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,8 @@ def sequence_to_nonbridge(
 
     Walks the back-reference chain down to a non-bridge, then emits one op
     per link: each moves the previous link's pair into the next link's
-    snapshot.  The table must have been computed for exactly this graph.
+    snapshot.  The table must have been computed for exactly this graph;
+    ``g`` itself is not read.
     """
     target = TemporalEdge(*target)
     k = table.level(target)
@@ -95,38 +108,32 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     """
     edges = g.edges
     forests = _snapshot_forests(g)
-    if until is not None and all(e in edges and e[:2] not in forests[e.t].below for e in until):
+    # an edge of g is a bridge iff its snapshot's map holds it at one of its ends
+    if until is not None and all(e in edges and e not in map(forests[e.t].above.get, e.pair) for e in until):
         return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
-    painters = {}
-    for t, forest in forests.items():
-        if forest.below:
-            above = {c: TemporalEdge(u, v, t) for (u, v), c in forest.below.items()}
-            painters[t] = (list(forest.top), forest.parent, forest.depth, above)
-    return _sweep(edges, [b for *_, above in painters.values() for b in above.values()], painters, until)
+    return _sweep(edges, forests, until, all)
 
 
 def _sweep(
     edges: AbstractSet[TemporalEdge],
-    bridges: Iterable[TemporalEdge],
-    painters: dict[int, tuple[list[int], list[int], list[int], dict[int, TemporalEdge]]],
+    forests: Mapping[int, StaticBridges | _Forest],
     until: Collection[TemporalEdge] | None,
-    known: AbstractSet[TemporalEdge] = frozenset(),
+    enough: Callable[[Iterable[bool]], bool],
 ) -> ChangeTable:
-    """The level sweep of ``classify`` from the edges that are not
-    ``bridges``.  ``painters`` maps each snapshot with bridges to a copy of
-    its ``top`` to paint, its ``parent`` and ``depth``, and a copy of its
-    bridges by lower end to claim from; the copies are used up.  ``depth``
-    need only grow from parent to child.  With ``until``, it stops after
-    the first full level at which some edge of ``until`` has a level and
-    every one without is in ``known``, edges already shown changeable; the
-    levels up to there, and their chains, are exact."""
-    frontier = sorted(edges.difference(bridges))
+    """The level sweep of ``classify`` on ``edges``, whose bridges are
+    those of ``forests``, each snapshot's forest keyed by time.  It paints
+    a copy of each forest's ``top`` and claims from a copy of its
+    ``above``; ``depth`` need only grow from parent to child.  With
+    ``until``, it stops after the first full level at which ``enough``
+    (``all`` or ``any``) of the edges of ``until`` have a level; the levels
+    up to there, and their chains, are exact."""
+    painters = {t: (list(f.top), f.parent, f.depth, dict(f.above)) for t, f in forests.items() if f.above}
+    frontier = sorted(edges.difference(*(f.above.values() for f in forests.values())))
     levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
-    pending = [e for e in until or () if e not in known]
     k = 0
     while frontier and painters:
-        if until and all(map(levels.__contains__, pending)) and any(map(levels.__contains__, until)):
+        if until and enough(map(levels.__contains__, until)):
             break  # every level so far, and every chain down from until, is final
         k += 1
         nxt: list[TemporalEdge] = []

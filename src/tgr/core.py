@@ -4,7 +4,9 @@ A temporal graph is a fixed vertex set together with a set of undirected
 edges, each active at one integer time in ``1..lifetime``.  Vertices are
 dense indices internally; a name table maps them to external tokens.  One
 painted spanning forest per snapshot (``static_bridges``, cached on the
-graph) gives its connectivity, its bridges and their sides.  All operations
+graph) gives its connectivity, its bridges and their sides.  Its one bridge
+map, ``above``, holds each bridge, as the snapshot's own ``TemporalEdge``,
+by its lower end; every reader of bridges reads that map.  All operations
 on graph values are pure: relabeling an edge returns a new graph value,
 which keeps the cached forest of every snapshot the relabel leaves alone.
 Validating a sequence instead walks one private, mutable working copy (the
@@ -170,9 +172,9 @@ class TemporalGraph:
         return tuple(sorted(e.pair for e in self._edges_at.get(t, ())))
 
     def _forest(self, t: int) -> StaticBridges:
-        """``static_bridges`` of snapshot ``t``; cached on the graph."""
+        """``static_bridges`` of snapshot ``t``'s own edges; cached on the graph."""
         if t not in self._forest_at:
-            self._forest_at[t] = static_bridges(self.n, [e[:2] for e in self._edges_at.get(t, ())])
+            self._forest_at[t] = static_bridges(self.n, self._edges_at.get(t, ()))
         return self._forest_at[t]
 
     def _adj(self, t: int) -> dict[int, set[int]]:
@@ -221,12 +223,12 @@ class StaticBridges(NamedTuple):
     vertex order, with the tree path of every non-tree edge painted.
     ``parent[x]`` is -1 at a root, and ``order`` lists each vertex after its
     parent.  ``top[x]`` is the shallowest vertex of x's 2-edge-connected
-    component: a root or the deeper end ``c`` of a bridge, which ``below``
-    maps the bridge to; removing it leaves c's subtree on c's side.  With
+    component: a root or the lower end ``c`` of a bridge, which ``above``
+    maps to the bridge; removing it leaves c's subtree on c's side.  With
     n >= 1 the graph is connected iff vertex 0 is the only root.
     """
 
-    below: dict[tuple[int, int], int]
+    above: dict[int, Sequence[int]]
     parent: list[int]
     depth: list[int]
     top: list[int]
@@ -241,14 +243,15 @@ def _find(top: list[int], x: int) -> int:
     return x
 
 
-def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> StaticBridges:
+def static_bridges(n: int, edges: Sequence[Sequence[int]]) -> StaticBridges:
     """Bridges of a static simple graph and their sides: one breadth-first
     forest, then the tree path of each non-tree edge painted with a
     union-find (Westbrook & Tarjan 1992); the tree edges left unpainted are
-    the bridges.  The bridge keys are pairs as given."""
-    edge_list = list(pairs)
+    the bridges.  Each edge's first two fields are its ends; the bridges
+    are the edges as given."""
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_list:
+    for e in edges:
+        u, v = e[0], e[1]
         adj[u].append(v)
         adj[v].append(u)
     parent = [-1] * n
@@ -268,8 +271,8 @@ def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> StaticBridges:
             order += component
     top = list(range(n))
     tree_edge: list = [None] * n  # each vertex's edge to its parent, as given
-    for e in edge_list:
-        u, v = e
+    for e in edges:
+        u, v = e[0], e[1]
         if parent[v] == u:
             tree_edge[v] = e
         elif parent[u] == v:
@@ -285,25 +288,25 @@ def static_bridges(n: int, pairs: Iterable[tuple[int, int]]) -> StaticBridges:
                 top[u] = u = p
     for x in order:
         top[x] = top[top[x]]
-    below = {tree_edge[x]: x for x in order if top[x] == x and parent[x] >= 0}  # unpainted tree edges
-    return StaticBridges(below, parent, depth, top, order)
+    above = {x: tree_edge[x] for x in order if top[x] == x and parent[x] >= 0}  # unpainted tree edges
+    return StaticBridges(above, parent, depth, top, order)
 
 
 class _Forest:
     """A private copy of the cached forest of snapshot ``t`` of a graph, kept
     current while edges come and go in that connected snapshot.  ``parent``
     and ``top`` are as in ``StaticBridges`` (``top`` as a union-find whose
-    chains may be long), ``above`` maps each bridge's lower end to the
-    bridge, and ``bridges``, shared with the caller, gains and loses the
-    same bridges.  ``depth`` need only grow from parent to child: a climb
-    takes the larger label, and the lowest common ancestor's is below both.
+    chains may be long), and so is ``above``, each bridge by its lower end;
+    ``bridges``, shared with the caller, gains and loses the same bridges.
+    ``depth`` need only grow from parent to child: a climb takes the larger
+    label, and the lowest common ancestor's is below both.
     """
 
     def __init__(self, g: TemporalGraph, t: int, bridges: set[TemporalEdge]):
         f = g._forest(t)
         self.t, self.bridges = t, bridges
         self.parent, self.depth, self.top = list(f.parent), list(f.depth), list(f.top)
-        self.above = {c: TemporalEdge(u, v, t) for (u, v), c in f.below.items()}
+        self.above = dict(f.above)
 
     def add(self, u: int, v: int) -> None:
         """A new edge {u, v}: paint its tree path, so that each bridge on it
@@ -436,9 +439,7 @@ def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     per graph, the first time it is asked for; a graph made by
     ``apply_relabel`` rebuilds it only for the two snapshots it touched.
     """
-    return frozenset(
-        TemporalEdge(u, v, t) for t, forest in _snapshot_forests(g).items() for u, v in forest.below
-    )
+    return frozenset(b for forest in _snapshot_forests(g).values() for b in forest.above.values())
 
 
 def _slot_fault(g: TemporalGraph, op: RelabelOp) -> str | None:

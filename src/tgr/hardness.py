@@ -35,6 +35,12 @@ from .core import GraphError, RelabelOp, TemporalEdge, TemporalGraph
 _ENCODE = str.maketrans({"%": "%25", "_": "%5F", ".": "%2E", "'": "%27"})
 
 
+def _pair(g: TemporalGraph, a: str, b: str) -> tuple[int, int]:
+    """The indices of the vertices named ``a`` and ``b`` in ``g``, smaller first."""
+    i, j = g.index(a), g.index(b)
+    return (i, j) if i < j else (j, i)
+
+
 @dataclass(frozen=True)
 class VCInstance:
     """Simple undirected graph plus a cover-size budget."""
@@ -201,10 +207,7 @@ def cover_to_sequence(red: ReductionOutput, cover: Iterable[str]) -> list[Relabe
             raise GraphError(f"not a vertex cover: edge {u} {v} uncovered")
 
     def flip(a: str, b: str, t_from: int, t_to: int) -> RelabelOp:
-        i, j = red.g1.index(a), red.g1.index(b)
-        if i > j:
-            i, j = j, i
-        return RelabelOp(i, j, t_from, t_to)
+        return RelabelOp(*_pair(red.g1, a, b), t_from, t_to)
 
     ops: list[RelabelOp] = []
     fixed: set[tuple[str, str]] = set()
@@ -245,10 +248,7 @@ def prerequisite_edges(
     out: set[TemporalEdge] = set()
 
     def te(a: str, b: str, t: int) -> TemporalEdge:
-        i, j = g1.index(a), g1.index(b)
-        if i > j:
-            i, j = j, i
-        return TemporalEdge(i, j, t)
+        return TemporalEdge(*_pair(g1, a, b), t)
 
     for _, primed in (gd.u_side, gd.v_side):
         out.add(te(primed, gd.two, 2))

@@ -1,21 +1,25 @@
 """Feasibility decision and full plan synthesis between two temporal graphs.
 
-A plan is found by repeatedly shrinking the set of differing edges: pick the
-differing edge with the lowest level, run its enabling sequence on *both*
-graphs, then move the differing edge itself onto a slot the target side has
-free.  Both graphs march toward a common labeling; the final answer is the
+The decision is one goal-directed ``classify`` of g1: with the per-pair
+label counts in agreement, reconfiguration is possible exactly when it
+levels every differing edge.  Only then is a plan built.  A plan is found
+by repeatedly shrinking the set of differing edges: pick the differing
+edge with the lowest level, run its enabling sequence on *both* graphs,
+then move the differing edge itself onto a slot the target side has free.
+Both graphs march toward a common labeling; the final answer is the
 forward half followed by the reversed target-side half.  Relabels are
 reversible, so graphs that reach each other reach the same graphs, and
-whether a slot can carry a non-bridge is fixed among them.  The first
-table shows every differing edge changeable for the whole plan (the
-difference only shrinks), so a later phase sweeps only to its target's
-level, and not at all when some differing edge is a non-bridge.
+whether a slot can carry a non-bridge is fixed among them.  The decision
+thus shows every differing edge changeable for the whole plan (the
+difference only shrinks), so a later phase sweeps only to the first level
+that levels a differing edge, and not at all when one is a non-bridge.
 
-Both sides live in one private planning state, updated in place by every
-relabel; no graph value is built but the meeting graph.  The state keeps a
-copy of each snapshot's bridge forest current for the sweeps: adding an
-edge costs its painted tree path, and removing one costs the edges of its
-2-edge-connected component plus any subtree shifted below it.
+Both sides live in one private planning state, built only to plan and
+updated in place by every relabel; no graph value is built but the meeting
+graph.  The state keeps a copy of each snapshot's bridge forest current
+for the sweeps: adding an edge costs its painted tree path, and removing
+one costs the edges of its 2-edge-connected component plus any subtree
+shifted below it.
 
 One wrinkle: an enabling op can be inapplicable on the target side, namely
 when its destination slot is already occupied there (necessarily by an edge
@@ -42,7 +46,7 @@ from .core import (
     check_pair_counts,
     require_endpoints,
 )
-from .changeability import ChangeTable, _sweep, sequence_to_nonbridge
+from .changeability import ChangeTable, _sweep, classify, sequence_to_nonbridge
 
 
 @dataclass(frozen=True)
@@ -75,10 +79,9 @@ class _PlanState(_WorkingCopy):
     neighbour sets of each snapshot a move touched) that also keeps its
     bridge set and, from the first time a sweep or a move needs one, a
     private copy of each snapshot's cached forest, which every move keeps
-    current.  Side 2 keeps only its edge set, ``diff`` the edges only side
-    1 has, and ``known`` the differing edges a table has levelled.  A level
-    table of the state holds side 1's live edge set, so it is read before
-    the next move.
+    current.  Side 2 keeps only its edge set, and ``diff`` the edges only
+    side 1 has.  A level table of the state holds side 1's live edge set,
+    so it is read before the next move.
     """
 
     def __init__(self, g1: TemporalGraph, g2: TemporalGraph):
@@ -86,38 +89,27 @@ class _PlanState(_WorkingCopy):
         self.edges2 = set(g2.edges)
         self.diff = self.edges - self.edges2
         forests = _snapshot_forests(g1)
-        # plain (u, v, t) tuples, which equal their TemporalEdge and are faster to make
-        self.bridges = {(u, v, t) for t, f in forests.items() for u, v in f.below}
-        self._unforested = [t for t, f in forests.items() if f.below]  # sweeps need them all
+        self.bridges = {b for f in forests.values() for b in f.above.values()}
+        self._unforested = [t for t, f in forests.items() if f.above]  # sweeps need them all
         self._forests: dict[int, _Forest] = {}
-        self.known: set[TemporalEdge] = set()
 
     def forest(self, t: int) -> _Forest:
         if t not in self._forests:
             self._forests[t] = _Forest(self._g, t, self.bridges)  # ``g1`` still holds snapshot t
         return self._forests[t]
 
-    def table(self) -> ChangeTable | Infeasible:
-        """Side 1's level table, exact only up to its stop level, or the
-        first differing edge neither levelled nor ``known``.  The sweep
-        stops at the first full level that levels some differing edge and
-        all but the ``known`` ones; none runs when some differing edge is a
-        non-bridge and every differing bridge is ``known``."""
-        diff = self.diff
-        free = diff - self.bridges
-        if (free or not diff) and diff - free <= self.known:
-            self.known |= free
-            return ChangeTable(self.edges, dict.fromkeys(free, 0), {}, 0 if free else -1)
+    def table(self) -> ChangeTable:
+        """Side 1's level table, exact only up to the first full level that
+        levels some differing edge; no sweep runs when some differing edge
+        is a non-bridge.  Raises if the sweep levels no differing edge."""
+        free = self.diff - self.bridges
+        if free:
+            return ChangeTable(self.edges, dict.fromkeys(free, 0), {}, 0)
         while self._unforested:
             self.forest(self._unforested.pop())
-        painters = {
-            t: (list(f.top), f.parent, f.depth, dict(f.above)) for t, f in self._forests.items() if f.above
-        }
-        table = _sweep(self.edges, self.bridges, painters, diff, self.known)
-        stuck = [e for e in diff if e not in table.levels and e not in self.known]
-        if stuck:
-            return Infeasible("unchangeable", min(stuck))
-        self.known |= diff
+        table = _sweep(self.edges, self._forests, self.diff, any)
+        if table.levels.keys().isdisjoint(self.diff):  # walks the smaller side
+            raise GraphError(f"differing edge became unchangeable mid-plan: {min(self.diff)!r}")
         return table
 
     def move(self, op: RelabelOp) -> None:
@@ -142,9 +134,7 @@ class _PlanState(_WorkingCopy):
             raise GraphError(f"cannot apply {op!r}: missing_edge")
         self.edges2.remove(src)
         self.edges2.add(tgt)
-        self.diff.discard(tgt)
-        if src in self.edges:
-            self.diff.add(src)
+        self.diff.discard(tgt)  # ``move`` of the same op took src off side 1
 
     def phase(self, table: ChangeTable) -> tuple[list[RelabelOp], list[RelabelOp]]:
         """One difference-reducing phase: the ops for side 1 and for side 2,
@@ -174,16 +164,17 @@ class _PlanState(_WorkingCopy):
         return ops + [final], ops2
 
 
-def _first_phase(g1: TemporalGraph, g2: TemporalGraph) -> tuple[_PlanState, ChangeTable] | Infeasible:
-    """The decision: endpoint precondition, per-pair label counts, then the
-    level table of the differing edges.  Reconfiguration is possible exactly
-    when this returns no ``Infeasible``."""
+def _decide(g1: TemporalGraph, g2: TemporalGraph) -> ChangeTable | Infeasible:
+    """The decision: endpoint precondition, per-pair label counts, then
+    ``classify`` of g1 until every differing edge has a level.
+    Reconfiguration is possible exactly when this returns a table."""
     require_endpoints(g1, g2)
     if not check_pair_counts(g1, g2):
         return Infeasible("pair_counts", None)
-    state = _PlanState(g1, g2)
-    table = state.table()
-    return table if isinstance(table, Infeasible) else (state, table)
+    diff = g1.edges - g2.edges
+    table = classify(g1, until=diff)
+    stuck = diff.difference(table.levels)
+    return Infeasible("unchangeable", min(stuck)) if stuck else table
 
 
 def decrease_difference(
@@ -198,15 +189,14 @@ def decrease_difference(
     positive difference, matching pair counts, and every differing edge
     changeable.
     """
-    step = _first_phase(g1, g2)
-    if isinstance(step, Infeasible):
-        if step.witness is None:
+    table = _decide(g1, g2)
+    if isinstance(table, Infeasible):
+        if table.witness is None:
             raise GraphError("per-pair label counts differ")
-        raise UnchangeableEdgeError(step.witness)
-    state, table = step
-    if not state.diff:
+        raise UnchangeableEdgeError(table.witness)
+    if g1.edges == g2.edges:
         raise GraphError("graphs are already equal")
-    return state.phase(table)
+    return _PlanState(g1, g2).phase(table)
 
 
 def feasible(
@@ -215,9 +205,10 @@ def feasible(
     """Decide reachability without building a plan.
 
     Reconfiguration is possible exactly when every edge of g1 missing from
-    g2 is changeable (and the per-pair label counts agree).
+    g2 is changeable (and the per-pair label counts agree).  It builds no
+    planning state.
     """
-    step = _first_phase(g1, g2)
+    step = _decide(g1, g2)
     return (False, step) if isinstance(step, Infeasible) else (True, None)
 
 
@@ -225,28 +216,25 @@ def plan(g1: TemporalGraph, g2: TemporalGraph) -> PlanOutcome:
     """Full decision plus sequence synthesis.
 
     Runs difference-reducing phases on one planning state until both sides
-    agree, recomputing the level table of the current side 1 each time, as
-    deep as its target needs.  A differing edge that a table neither levels
-    nor has shown changeable before would contradict the construction, so
-    it raises instead of returning Infeasible.
+    agree.  The first phase reads the decision's table; each later one a
+    table of the current side 1, as deep as its first levelled differing
+    edge needs.  A later table that levels no differing edge would
+    contradict the decision, so it raises instead of returning Infeasible.
     """
-    step = _first_phase(g1, g2)
-    if isinstance(step, Infeasible):
-        return step
-    state, table = step
+    table = _decide(g1, g2)
+    if isinstance(table, Infeasible):
+        return table
+    state = _PlanState(g1, g2)
     seq1: list[RelabelOp] = []
     seq2: list[RelabelOp] = []
     phases = 0
     while state.diff:
+        if phases:
+            table = state.table()
         ops1, ops2 = state.phase(table)
         seq1.extend(ops1)
         seq2.extend(ops2)
         phases += 1
-        table = state.table()
-        if isinstance(table, Infeasible):
-            raise GraphError(
-                f"differing edge became unchangeable mid-plan: {table.witness!r}"
-            )
     if state.edges != state.edges2:
         raise GraphError("plan did not converge to a common graph")
     sequence = tuple(seq1 + [op.inverse() for op in reversed(seq2)])

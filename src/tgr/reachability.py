@@ -5,9 +5,10 @@ subtree below the bridge in the snapshot's cached spanning forest, and the
 rest.  An edge whose endpoints land on opposite sides is a *crossing* edge:
 the bridge lies on the tree path between its endpoints.  In that forest
 each vertex's ``top`` names its 2-edge-connected component, so a tree path
-crosses a bridge each time it climbs from a top to its parent;
-``changeability.classify`` paints those paths, and ``_crossings`` climbs
-them to list the relation for ``tgr classify --dump-cross``.
+crosses a bridge each time it climbs from a top to its parent, and the
+forest's ``above`` names that bridge; ``changeability.classify`` paints
+those paths, and ``_crossings`` climbs them to list the relation for
+``tgr classify --dump-cross``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ def reachability_partition(g: TemporalGraph, bridge: TemporalEdge) -> Reachabili
     if bridge not in g.edges:
         raise GraphError(f"not a temporal edge of the graph: {bridge!r}")
     forest = _snapshot_forests(g)[bridge.t]
-    if bridge.pair not in forest.below:
+    c = next((c for c in bridge.pair if forest.above.get(c) == bridge), None)  # the bridge's lower end
+    if c is None:
         raise GraphError(f"not a bridge: {bridge!r}")
-    c = forest.below[bridge.pair]
     inside = {c}  # c's subtree: parents come first in ``order``
     for x in forest.order:
         if forest.parent[x] in inside:
@@ -61,11 +62,10 @@ def _crossings(g: TemporalGraph) -> list[tuple[TemporalEdge, tuple[int, int], li
     merging: O(M) per snapshot with bridges, plus the output."""
     edges = g.sorted_edges()
     found = []
-    for t, forest in _snapshot_forests(g).items():
-        if not forest.below:
+    for forest in _snapshot_forests(g).values():
+        parent, depth, top, above = forest.parent, forest.depth, forest.top, forest.above
+        if not above:
             continue
-        parent, depth, top = forest.parent, forest.depth, forest.top
-        above = {c: TemporalEdge(u, v, t) for (u, v), c in forest.below.items()}  # by the top below the bridge
         members: dict[int, list[TemporalEdge]] = {c: [] for c in above}
         for e in edges:
             a, b = top[e.u], top[e.v]

@@ -371,13 +371,14 @@ def reference_plan(g1: TemporalGraph, g2: TemporalGraph) -> Feasible | Infeasibl
 
 def reference_validate_sequence(g1: TemporalGraph, seq, g2: TemporalGraph) -> ValidationReport:
     """Slow reference for ``validate_sequence``: each step builds a new graph
-    with ``apply_relabel`` and looks its edge up in the cached lowlink DFS of
-    the source snapshot, which the relabel before it dropped."""
+    with ``apply_relabel`` and looks its edge up among the bridges of the
+    source snapshot's cached forest, built afresh whenever the relabel
+    before it touched that snapshot."""
     require_endpoints(g1, g2)
     cur = g1
     for i, o in enumerate(seq):
         fault = _slot_fault(cur, o)
-        if fault is None and o.source().pair in cur._forest(o.from_time).below:
+        if fault is None and o.source() in cur._forest(o.from_time).above.values():
             fault = "disconnects"
         if fault is not None:
             return ValidationReport(False, len(seq), i, fault, False)
@@ -441,18 +442,18 @@ def reference_parse_temporal_graph(text: str, source: str = "<string>") -> Tempo
 # ---------------------------------------------------------------------------
 # Slow reference for the oracle: a forward BFS over frozenset states.
 
-def _snapshot_bridge_sets(n: int, lifetime: int, state: frozenset[TemporalEdge]):
-    by_t: dict[int, list[tuple[int, int]]] = {t: [] for t in range(1, lifetime + 1)}
+def _state_bridges(n: int, lifetime: int, state: frozenset[TemporalEdge]) -> set[TemporalEdge]:
+    by_t: dict[int, list[TemporalEdge]] = {t: [] for t in range(1, lifetime + 1)}
     for e in state:
-        by_t[e.t].append(e.pair)
-    return {t: static_bridges(n, pairs).below for t, pairs in by_t.items()}
+        by_t[e.t].append(e)
+    return {b for edges in by_t.values() for b in static_bridges(n, edges).above.values()}
 
 
 def _moves(n: int, lifetime: int, state: frozenset[TemporalEdge]):
     """Valid relabels out of an always-connected state, in canonical order."""
-    bridges = _snapshot_bridge_sets(n, lifetime, state)
+    bridges = _state_bridges(n, lifetime, state)
     for e in sorted(state):
-        if e.pair in bridges[e.t]:
+        if e in bridges:
             continue
         for t2 in range(1, lifetime + 1):
             if t2 == e.t or TemporalEdge(e.u, e.v, t2) in state:
@@ -504,8 +505,8 @@ def reference_nonbridges(space, state: int) -> int:
     report as bridges."""
     edges, out = space.edges(state), 0
     for t in range(1, space.lifetime + 1):
-        below = static_bridges(space.n, [e.pair for e in edges if e.t == t]).below
-        out |= sum(space.bit[e] for e in edges if e.t == t and e.pair not in below)
+        bridges = set(static_bridges(space.n, [e for e in edges if e.t == t]).above.values())
+        out |= sum(space.bit[e] for e in edges if e.t == t and e not in bridges)
     return out
 
 
@@ -528,9 +529,9 @@ def reference_min_steps_map(
     first: dict[TemporalEdge, int] = {}
 
     def record(state, depth):
-        bridges = _snapshot_bridge_sets(g.n, g.lifetime, state)
+        bridges = _state_bridges(g.n, g.lifetime, state)
         for e in state:
-            if e not in first and e.pair not in bridges[e.t]:
+            if e not in first and e not in bridges:
                 first[e] = depth
         return False
 

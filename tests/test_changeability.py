@@ -304,7 +304,7 @@ def test_until_stops_at_the_level_its_edges_need(chain2, infeas):
 def test_changeability_is_fixed_for_a_reconfiguration_class(chain2):
     # relabels are reversible, so graphs that reach each other reach the
     # same graphs: a slot is levelled in every graph of the class that has
-    # it, or in none (the planner's known slots rest on this)
+    # it, or in none (a plan's later sweeps rest on this)
     seen = {"graphs": 0, "unchangeable": 0, "moved": 0}
     for g in [chain2] + [helpers.small_instance(seed) for seed in range(100)]:
         tables = {

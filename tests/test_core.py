@@ -100,37 +100,37 @@ def test_static_bridges_matches_slow_references():
         every = list(itertools.combinations(range(n), 2))
         pairs = rng.sample(every, rng.randint(0, min(len(every), 2 * n)))
         pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
-        dfs = core.static_bridges(n, pairs)
+        forest = core.static_bridges(n, pairs)
         naive = helpers.naive_static_bridges(n, pairs)
-        assert set(dfs.below) == naive, (n, pairs)
+        assert set(forest.above.values()) == naive, (n, pairs)
         adj = core._adjacency(pairs)
         for u, v in pairs:  # the local bridge test of validate_sequence
             assert core._joined_without(adj, u, v) == ((u, v) not in naive), (n, pairs, (u, v))
-        assert sorted(dfs.order) == list(range(n))
-        position = {x: i for i, x in enumerate(dfs.order)}
+        assert sorted(forest.order) == list(range(n))
+        position = {x: i for i, x in enumerate(forest.order)}
         for x in range(n):  # every vertex after its parent, one level deeper
-            p = dfs.parent[x]
+            p = forest.parent[x]
             if p < 0:
-                assert dfs.depth[x] == 0
+                assert forest.depth[x] == 0
             else:
-                assert position[p] < position[x] and dfs.depth[x] == dfs.depth[p] + 1
+                assert position[p] < position[x] and forest.depth[x] == forest.depth[p] + 1
         kept = [p for p in pairs if p not in naive]
         for x in range(n):  # tops name the components of the graph without its bridges
             joined = helpers.reach(n, kept, x)
-            assert all((dfs.top[x] == dfs.top[y]) == joined[y] for y in range(n)), (n, pairs, x)
-        for bridge, c in dfs.below.items():
-            assert c in bridge and dfs.parent[c] == sum(bridge) - c  # the bridge's child
+            assert all((forest.top[x] == forest.top[y]) == joined[y] for y in range(n)), (n, pairs, x)
+        for c, bridge in forest.above.items():
+            assert c in bridge and forest.parent[c] == sum(bridge) - c  # the bridge's child
             side = {c}  # c's subtree
-            for x in dfs.order:
-                if dfs.parent[x] in side:
+            for x in forest.order:
+                if forest.parent[x] in side:
                     side.add(x)
             assert side == helpers.naive_side(n, pairs, bridge, c), (n, pairs, bridge)
         if n:
             connected = all(helpers.reach(n, pairs))
-            assert (dfs.parent.count(-1) == 1) == connected  # vertex 0 is always a root
-            assert dfs.parent[0] == -1
+            assert (forest.parent.count(-1) == 1) == connected  # vertex 0 is always a root
+            assert forest.parent[0] == -1
             disconnected += not connected
-        with_bridges += bool(dfs.below)
+        with_bridges += bool(forest.above)
     assert disconnected >= 100 and with_bridges >= 100
 
 

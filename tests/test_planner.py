@@ -26,7 +26,7 @@ from tgr import (
     sequence_to_nonbridge,
     validate_sequence,
 )
-from tgr import RelabelOp, core, planner, reachability
+from tgr import RelabelOp, changeability, core, planner, reachability
 from tgr.core import is_valid_relabel
 
 import helpers
@@ -103,6 +103,26 @@ def test_feasible_matches_plan(tri, infeas):
     assert feasible(g1, g1) == (True, None)
 
 
+def test_the_decision_builds_no_planning_state(monkeypatch, tri, infeas):
+    # feasible (and so check) decides from one classify of g1; only a plan
+    # builds the state that its phases update
+    g1, _ = tri
+    mismatch = (g1, TemporalGraph(g1.names, g1.lifetime, g1.edges | {te(g1, "a", "c", 2)}))
+    pairs = [tri, infeas, mismatch]
+    pairs += [(red.g1, red.g2) for red in map(build_reduction, helpers.small_vc_instances())]
+    planned = [plan(*pair) for pair in pairs]
+
+    def refuse(*_):
+        raise AssertionError("the decision built a planning state")
+
+    monkeypatch.setattr(planner._PlanState, "__init__", refuse)
+    for pair, out in zip(pairs, planned):
+        ok, why = feasible(*pair)
+        assert ok == isinstance(out, Feasible) and why == (None if ok else out), pair
+    assert [type(out) for out in planned[:3]] == [Feasible, Infeasible, Infeasible]
+    assert planned[2].reason == "pair_counts"
+
+
 def test_decrease_difference_tri(tri):
     g1, g2 = tri
     seq1, seq2 = decrease_difference(g1, g2)
@@ -157,10 +177,13 @@ def test_plan_skips_inapplicable_mirror_ops():
 
 
 def test_each_phase_reduces_difference_by_exactly_one():
+    # and only takes edges out of it, so the decision's table, which
+    # levels every differing edge, shows them all changeable for the plan;
+    # the Vertex-Cover reductions add deep bridge chains
     rng = random.Random(5)
-    for seed in range(60):
-        g1 = helpers.small_instance(seed)
-        g2 = helpers.perturb(g1, rng.randint(1, 6), rng)
+    pairs = [(g, helpers.perturb(g, rng.randint(1, 6), rng)) for g in map(helpers.small_instance, range(60))]
+    pairs += [(red.g1, red.g2) for red in map(build_reduction, helpers.small_vc_instances())]
+    for g1, g2 in pairs:
         while difference(g1, g2) > 0:
             seq1, seq2 = decrease_difference(g1, g2)
             assert len(seq1) + len(seq2) <= 2 * len(seq1)  # tight accounting
@@ -170,6 +193,7 @@ def test_each_phase_reduces_difference_by_exactly_one():
             for o in seq2:
                 h2 = apply_relabel(h2, o)
             assert difference(h1, h2) == difference(g1, g2) - 1
+            assert h1.edges - h2.edges < g1.edges - g2.edges
             g1, g2 = h1, h2
 
 
@@ -260,7 +284,7 @@ def forest_faults(state, t):
     pairs = {e.pair for e in state.edges if e.t == t}
     fresh = core.static_bridges(n, sorted(pairs))
     faults = []
-    if {b.pair for b in f.above.values()} != set(fresh.below):
+    if {b.pair for b in f.above.values()} != set(fresh.above.values()):
         faults.append("bridges")
     if any(b.pair != tuple(sorted((c, f.parent[c]))) or b.t != t for c, b in f.above.items()):
         faults.append("bridge not above its lower end")
@@ -295,9 +319,9 @@ def test_planning_state_forests_match_fresh_static_bridges():
         rng = random.Random(i)
         state = planner._PlanState(g, g)
         for _ in range(steps):
-            fresh = {t: core.static_bridges(g.n, [e.pair for e in state.edges if e.t == t]).below
-                     for t in range(1, g.lifetime + 1)}
-            bridges = {TemporalEdge(u, v, t) for t, below in fresh.items() for u, v in below}
+            fresh = [core.static_bridges(g.n, [e for e in state.edges if e.t == t]).above
+                     for t in range(1, g.lifetime + 1)]
+            bridges = {b for above in fresh for b in above.values()}
             assert state.bridges == bridges
             if bridges:
                 b = rng.choice(sorted(bridges))
@@ -306,7 +330,7 @@ def test_planning_state_forests_match_fresh_static_bridges():
                 assert forest_faults(state, b.t) == [], (i, b)
             moves = [
                 RelabelOp(e.u, e.v, e.t, t)
-                for e in sorted(state.edges) if e.pair not in fresh[e.t]
+                for e in sorted(state.edges) if e not in bridges
                 for t in range(1, g.lifetime + 1) if (e.u, e.v, t) not in state.edges
             ]
             if not moves:
@@ -426,41 +450,24 @@ def test_plan_raises_when_a_later_phase_finds_an_unchangeable_differing_edge(mon
         plan(*tri)
 
 
-def test_plan_raises_mid_plan_with_the_known_slots_carried_over(monkeypatch, tri, infeas):
-    # known slots only spare sweeps: an unchangeable differing edge is never
-    # among them, so the swapped-in pair still fails the mid-plan check
-    real = planner._PlanState.phase
-
-    def phase_then_swap(state, table):
-        ops = real(state, table)
-        known = state.known
-        assert known
-        state.__init__(*infeas)
-        state.known = known
-        return ops
-
-    monkeypatch.setattr(planner._PlanState, "phase", phase_then_swap)
-    with pytest.raises(GraphError, match="differing edge became unchangeable mid-plan"):
-        plan(*tri)
-
-
 def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
-    # a plan's sweeps stop at its target's level and pass over the slots it
-    # has shown changeable; each phase must still move the target, along
-    # the chain, that a full level table of side 1 gives
+    # a plan's later sweeps stop at the first level that levels a differing
+    # edge, and none runs while a differing edge is a non-bridge; each phase
+    # must still move the target, along the chain, that a full level table
+    # of side 1 gives
     real_phase, real_table, real_sweep = planner._PlanState.phase, planner._PlanState.table, planner._sweep
     seen = Counter()
 
-    def sweep(edges, bridges, painters, until, known):
-        table = real_sweep(edges, bridges, painters, until, known)
-        seen["sweeps"] += 1
-        seen["stopped short of a known edge"] += any(e in known and e not in table.levels for e in until)
-        return table
+    def sweep(edges, forests, until, enough):
+        seen["sweeps"] += until is not None  # a decision or a phase, not the full classify below
+        return real_sweep(edges, forests, until, enough)
 
     def table(state):
         sweeps, bridged = seen["sweeps"], not state.bridges.isdisjoint(state.diff)
         out = real_table(state)
-        seen["no sweep past a known bridge"] += bridged and seen["sweeps"] == sweeps
+        swept = seen["sweeps"] > sweeps
+        seen["stopped with a differing edge unlevelled"] += swept and not out.levels.keys() >= state.diff
+        seen["no sweep with a differing bridge"] += bridged and not swept
         return out
 
     def phase(state, table):
@@ -472,6 +479,7 @@ def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
         seen["phases"] += 1
         return ops1, ops2
 
+    monkeypatch.setattr(changeability, "_sweep", sweep)
     monkeypatch.setattr(planner, "_sweep", sweep)
     monkeypatch.setattr(planner._PlanState, "table", table)
     monkeypatch.setattr(planner._PlanState, "phase", phase)
@@ -482,7 +490,7 @@ def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
     assert seen["phases"] == 156 and seen["sweeps"] <= 78, seen
     for g1, g2 in differential_pairs():
         plan(g1, g2)
-    assert seen["stopped short of a known edge"] and seen["no sweep past a known bridge"], seen
+    assert seen["stopped with a differing edge unlevelled"] and seen["no sweep with a differing bridge"], seen
 
 
 def test_feasible_matches_oracle_reachability_on_deep_chains():
