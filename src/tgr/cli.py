@@ -13,6 +13,7 @@ stdout and one ``tgr: ...`` diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -228,6 +229,7 @@ def cmd_cover_seq(args) -> _Result:
     return 0, {"length": len(seq), "path": args.output}, f"length {len(seq)}"
 
 
+@functools.cache  # built once per process: a parse leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tgr",

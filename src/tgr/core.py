@@ -2,10 +2,13 @@
 
 A temporal graph is a fixed vertex set together with a set of undirected
 edges, each active at one integer time in ``1..lifetime``.  Vertices are
-dense indices internally; a name table maps them to external tokens.  One
-painted spanning forest per snapshot (``static_bridges``, cached on the
-graph) gives its connectivity, its bridges and their sides.  Its one bridge
-map, ``above``, holds each bridge, as the snapshot's own ``TemporalEdge``,
+dense indices internally; a name table maps them to external tokens.
+Whether every snapshot is connected costs one union-find pass per
+snapshot.  One painted spanning forest per snapshot (``static_bridges``,
+cached on the graph) gives its bridges and their sides; it is built only
+by code that reads bridges, and when built first it also tells
+connectivity, so no snapshot pays for both.  Its one bridge map,
+``above``, holds each bridge, as the snapshot's own ``TemporalEdge``,
 by its lower end; every reader of bridges reads that map.  All operations
 on graph values are pure: relabeling an edge returns a new graph value,
 which keeps the cached forest of every snapshot the relabel leaves alone.
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -177,6 +180,21 @@ class TemporalGraph:
             self._forest_at[t] = static_bridges(self.n, self._edges_at.get(t, ()))
         return self._forest_at[t]
 
+    def _forests(self) -> dict[int, StaticBridges] | None:
+        """The forest of every snapshot, keyed by time, or None when some
+        snapshot is not connected.  When connectivity is not known yet, the
+        forests are built in time order and tell it, stopping at the first
+        disconnected snapshot, so no snapshot also pays for a union-find pass."""
+        times = range(1, self.lifetime + 1) if self.n > 1 else ()
+        if "_disconnected_at" not in self.__dict__:
+            self.__dict__["_disconnected_at"] = next((t for t in times if self._forest(t).parent.count(-1) > 1), None)
+        if self._disconnected_at is not None:
+            return None
+        if len(self._forest_at) < len(times):
+            for t in times:
+                self._forest(t)
+        return self._forest_at
+
     def _adj(self, t: int) -> dict[int, set[int]]:
         """Snapshot ``t`` as a vertex -> neighbour-set dict, built afresh."""
         return _adjacency(self._edges_at.get(t, ()))
@@ -184,9 +202,15 @@ class TemporalGraph:
     @cached_property
     def _disconnected_at(self) -> int | None:
         """Earliest time whose snapshot is not connected, or None; cached.
-        With n >= 2 an empty snapshot is disconnected, so this stops by M + 1."""
+        A snapshot with a cached forest is read off it; any other costs one
+        union-find pass over its edges.  With n >= 2 a snapshot of fewer
+        than n - 1 edges is disconnected at once, so this costs O(M)."""
         times = range(1, self.lifetime + 1) if self.n > 1 else ()
-        return next((t for t in times if self._forest(t).parent.count(-1) > 1), None)
+        forests = self._forest_at
+        return next((
+            t for t in times
+            if not (forests[t].parent.count(-1) == 1 if t in forests else _connected(self.n, self._edges_at.get(t, ())))
+        ), None)
 
     def sorted_edges(self) -> list[TemporalEdge]:
         return sorted(self.edges)
@@ -241,6 +265,28 @@ def _find(top: list[int], x: int) -> int:
     while top[x] != x:
         top[x] = x = top[top[x]]
     return x
+
+
+def _connected(n: int, edges: Sequence[Sequence[int]]) -> bool:
+    """Whether the static graph on vertices 0..n-1 with ``edges`` (each
+    edge's first two fields are its ends) is connected: one union-find
+    pass, ``_find`` inlined, that stops once a single set is left."""
+    if len(edges) < n - 1:
+        return False
+    top = list(range(n))
+    sets = n
+    for e in edges:
+        a, b = top[e[0]], top[e[1]]
+        while top[a] != a:
+            top[a] = a = top[top[a]]
+        while top[b] != b:
+            top[b] = b = top[top[b]]
+        if a != b:
+            top[a] = b
+            sets -= 1
+            if sets == 1:
+                break
+    return sets <= 1
 
 
 def static_bridges(n: int, edges: Sequence[Sequence[int]]) -> StaticBridges:
@@ -420,16 +466,22 @@ def require_endpoints(*graphs: TemporalGraph) -> None:
     is always-connected: the precondition of every reconfiguration query."""
     for g in graphs[1:]:
         require_compatible(graphs[0], g)
+    _require_connected(*graphs)
+
+
+def _require_connected(*graphs: TemporalGraph) -> None:
+    """The connectivity half of ``require_endpoints``."""
     if not all(map(is_always_connected, set(graphs))):  # equal graphs are checked once
         raise GraphError("endpoint graph is not always-connected")
 
 
 def _snapshot_forests(g: TemporalGraph) -> dict[int, StaticBridges]:
     """The cached forest of every snapshot, keyed by time; raises unless ``g``
-    is always-connected (checking that fills the cache when n >= 2)."""
-    if g._disconnected_at is not None:
+    is always-connected."""
+    forests = g._forests()
+    if forests is None:
         raise GraphError(f"snapshot {g._disconnected_at} is not connected")
-    return g._forest_at
+    return forests
 
 
 def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
@@ -537,17 +589,23 @@ def validate_sequence(
     failing step index and the failure kind.  The steps are replayed on one
     working copy of ``g1``: each is decided by the relabel rule, whose
     bridge test is a two-ended search from the ends of the moved edge, and
-    one that passes updates the copy in O(1).  No graph value is built and
-    no snapshot's forest is rebuilt.
+    one that passes updates the copy in O(1).  No graph value and no
+    forest is built.  ``g2`` is checked for connectivity only when the
+    report is not ok: an ok replay kept every snapshot connected and ended
+    equal to ``g2``.
     """
-    require_endpoints(g1, g2)
+    require_compatible(g1, g2)
+    _require_connected(g1)
     cur = _WorkingCopy(g1)
     for i, op in enumerate(seq):
         fault = _relabel_fault(cur, op)
         if fault is not None:
+            _require_connected(g1, g2)
             return ValidationReport(False, len(seq), i, fault, False)
         cur.relabel(op)
     final_matches = cur.edges == g2.edges  # names and lifetime agree already
+    if not final_matches:
+        _require_connected(g1, g2)
     return ValidationReport(final_matches, len(seq), None, None, final_matches)
 
 
@@ -569,7 +627,13 @@ def check_pair_counts(g1: TemporalGraph, g2: TemporalGraph) -> bool:
     """True iff every vertex pair carries equally many time labels in both;
     common edges add the same to both counts, so only the others are counted."""
     require_compatible(g1, g2)
-    return Counter(e[:2] for e in g1.edges - g2.edges) == Counter(e[:2] for e in g2.edges - g1.edges)
+    return _pair_counts_agree(g1.edges - g2.edges, g2.edges - g1.edges)
+
+
+def _pair_counts_agree(only1: Collection[TemporalEdge], only2: Collection[TemporalEdge]) -> bool:
+    """Whether the edges only one graph has and those only the other has
+    hold the same multiset of vertex pairs."""
+    return len(only1) == len(only2) and sorted(e[:2] for e in only1) == sorted(e[:2] for e in only2)
 
 
 def align_names(g: TemporalGraph, like: TemporalGraph) -> TemporalGraph:

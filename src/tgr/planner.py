@@ -40,11 +40,12 @@ from .core import (
     TemporalGraph,
     _checked_graph,
     _Forest,
+    _pair_counts_agree,
+    _require_connected,
     _slot_fault,
     _snapshot_forests,
     _WorkingCopy,
-    check_pair_counts,
-    require_endpoints,
+    require_compatible,
 )
 from .changeability import ChangeTable, _sweep, classify, sequence_to_nonbridge
 
@@ -167,11 +168,15 @@ class _PlanState(_WorkingCopy):
 def _decide(g1: TemporalGraph, g2: TemporalGraph) -> ChangeTable | Infeasible:
     """The decision: endpoint precondition, per-pair label counts, then
     ``classify`` of g1 until every differing edge has a level.
-    Reconfiguration is possible exactly when this returns a table."""
-    require_endpoints(g1, g2)
-    if not check_pair_counts(g1, g2):
-        return Infeasible("pair_counts", None)
+    Reconfiguration is possible exactly when this returns a table.  g1's
+    connectivity is read off the forests its sweep needs, built first;
+    g2's costs one union-find pass."""
+    require_compatible(g1, g2)
+    g1._forests()
+    _require_connected(g1, g2)
     diff = g1.edges - g2.edges
+    if not _pair_counts_agree(diff, g2.edges - g1.edges):
+        return Infeasible("pair_counts", None)
     table = classify(g1, until=diff)
     stuck = diff.difference(table.levels)
     return Infeasible("unchangeable", min(stuck)) if stuck else table

@@ -183,7 +183,7 @@ def test_classify_computes_each_snapshot_bridges_once(monkeypatch):
 
     monkeypatch.setattr(core, "static_bridges", counting)
     assert is_always_connected(g)
-    assert len(calls) == snapshots  # the connectivity check is the one pass
+    assert calls == []  # connectivity alone builds no forest
     table = classify(g)
     for b in find_bridges(g):
         reachability_partition(g, b)
@@ -192,9 +192,13 @@ def test_classify_computes_each_snapshot_bridges_once(monkeypatch):
     assert len(calls) == snapshots
 
     calls.clear()
-    broken = TemporalGraph.build("abc", 3, [("a", "b", 1), ("b", "c", 1), ("a", "b", 2), ("a", "b", 3)])
+    edges = [("a", "b", 1), ("b", "c", 1), ("a", "b", 2), ("a", "b", 3)]
+    broken = TemporalGraph.build("abc", 3, edges)
     assert not is_always_connected(broken)
-    assert len(calls) == 2  # the fill stops at the first disconnected snapshot
+    assert calls == []
+    with pytest.raises(GraphError, match="snapshot 2 is not connected"):
+        classify(TemporalGraph.build("abc", 3, edges))
+    assert len(calls) == 2  # the forests are built in time order, up to the first disconnected snapshot
 
 
 def test_change_table_rejects_disconnected_graph():

@@ -9,6 +9,7 @@ holding the inputs, so paths in the output are the relative ones given.
 import pytest
 
 import tgr
+from tgr import cli
 from tgr.cli import main
 from tgr.formats import format_temporal_graph
 
@@ -269,3 +270,30 @@ def test_reduction_round(workdir, capsys):
     lines = (workdir / "cover.tgs").read_text().splitlines(keepends=True)
     (workdir / "short.tgs").write_text("".join(lines[:-1]))  # drop the last op
     _check(SHORT_COVER_RUNS, capsys)
+
+
+def test_one_parser_serves_every_run_of_a_process(workdir, capsys):
+    cli._build_parser.cache_clear()
+    argvs = [
+        "check --g1 tri1.tg",  # a usage error
+        "--version",
+        "check --g1 tri1.tg --g2 tri2.tg",
+        "validate --json --g1 tri1.tg --g2 tri2.tg --seq clash.tgs",
+    ]
+
+    def runs():
+        out = []
+        for argv in argvs:
+            try:
+                code = main(argv.split())
+            except SystemExit as exc:
+                code = exc.code
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    first = runs()
+    assert [code for code, _, _ in first] == [2, 0, 0, 1]
+    assert first[0][1] == "" and "the following arguments are required: --g2" in first[0][2]
+    assert first[1] == (0, f"tgr {tgr.__version__} (formats: tg 1, tgs 1, vc 1)\n", "")
+    assert runs() == first
+    assert cli._build_parser.cache_info().misses == 1

@@ -22,6 +22,7 @@ from tgr import (
     generate_random_instance,
     is_always_connected,
     is_valid_relabel,
+    plan,
     validate_sequence,
 )
 from tgr import core
@@ -578,3 +579,87 @@ def test_generated_instances_are_always_connected():
     for seed in range(50):
         g = generate_random_instance(6, 3, 2, seed)
         assert is_always_connected(g)
+
+
+def test_union_find_connectivity_matches_the_forest_root_count():
+    rng = random.Random(19)
+    cases = [(0, []), (1, []), (2, []), (3, [(0, 1)]), (3, [(2, 1), (0, 2)])]
+    for n, _ in itertools.product(range(12), range(60)):
+        every = list(itertools.combinations(range(n), 2))
+        pairs = rng.sample(every, rng.randint(0, min(len(every), 2 * n)))
+        cases.append((n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]))
+    seen = Counter()
+    for n, pairs in cases:
+        want = core.static_bridges(n, pairs).parent.count(-1) <= 1
+        assert core._connected(n, pairs) == want, (n, pairs)
+        seen[want] += 1
+    assert min(seen.values()) >= 150, seen
+
+
+def _first_disconnected_by_forests(g: TemporalGraph) -> int | None:
+    times = range(1, g.lifetime + 1) if g.n > 1 else ()
+    return next((t for t in times if core.static_bridges(g.n, g.snapshot(t)).parent.count(-1) > 1), None)
+
+
+def test_connectivity_check_builds_no_forest_and_finds_the_first_disconnected_snapshot(monkeypatch):
+    graphs = [
+        TemporalGraph((), 1, frozenset()),
+        TemporalGraph(("x",), 3, frozenset()),
+        TemporalGraph(("x", "y"), 2, frozenset()),
+        TemporalGraph.build("ab", 3, [("a", "b", 1), ("a", "b", 2)]),  # empty last snapshot
+        TemporalGraph.build("abc", 3, [("a", "b", 1), ("b", "c", 1), ("a", "c", 2), ("b", "c", 2), ("a", "b", 3)]),
+    ]
+    for seed in range(300):
+        g = helpers.sparse_instance(seed)
+        graphs.append(g)
+        bridges = sorted(find_bridges(g))
+        if bridges:  # dropping one disconnects its snapshot alone
+            dropped = random.Random(seed).choice(bridges)
+            graphs.append(TemporalGraph(g.names, g.lifetime, g.edges - {dropped}))
+    wants = [_first_disconnected_by_forests(g) for g in graphs]
+    assert wants[:5] == [None, None, 1, 3, 3]
+    seen = Counter("connected" if want is None else want == g.lifetime for g, want in zip(graphs, wants))
+    assert min(seen.values()) >= 60, seen  # disconnected only at the last snapshot, or earlier
+
+    def refuse(n, pairs):
+        raise AssertionError("a snapshot paid for both a union-find pass and a forest")
+
+    real_forest, real_connected = core.static_bridges, core._connected
+    for g, want in zip(graphs, wants):
+        monkeypatch.setattr(core, "static_bridges", refuse)
+        fresh = TemporalGraph(g.names, g.lifetime, g.edges)
+        assert fresh._disconnected_at == want
+        assert is_always_connected(fresh) == (want is None)
+        monkeypatch.setattr(core, "static_bridges", real_forest)
+        monkeypatch.setattr(core, "_connected", refuse)
+        fresh = TemporalGraph(g.names, g.lifetime, g.edges)  # the forest path, as classify takes it
+        assert (fresh._forests() is None) == (want is not None) and fresh._disconnected_at == want
+        monkeypatch.setattr(core, "_connected", real_connected)
+
+
+def test_validate_sequence_builds_no_forest(monkeypatch):
+    pairs = [(red.g1, red.g2) for red in map(build_reduction, helpers.small_vc_instances())]
+    for seed in range(40):
+        g = generate_random_instance(12, 3, 6, seed)
+        pairs.append((g, helpers.perturb(g, 4, random.Random(seed))))
+    plans = [(g1, plan(g1, g2).sequence, g2) for g1, g2 in pairs]
+    calls = []
+    real = core.static_bridges
+    monkeypatch.setattr(core, "static_bridges", lambda n, edges: calls.append(n) or real(n, edges))
+    for g1, seq, g2 in plans:
+        g1, g2 = (TemporalGraph(g.names, g.lifetime, g.edges) for g in (g1, g2))
+        assert validate_sequence(g1, seq, g2).ok
+        assert validate_sequence(g1, seq[:-1], g2).final_matches == (not seq)
+    assert calls == []
+
+
+def test_validate_sequence_checks_a_disconnected_target_when_not_ok(tri):
+    g1, _ = tri
+    broken = TemporalGraph.build("abc", 2, [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("a", "b", 2)])
+    for seq in ([op(g1, "a", "b", 2, 1)], [], [op(g1, "a", "c", 1, 2)]):  # a failing step, then two mismatches
+        with pytest.raises(GraphError, match="endpoint graph is not always-connected"):
+            validate_sequence(g1, seq, broken)
+    with pytest.raises(GraphError, match="endpoint graph is not always-connected"):
+        validate_sequence(broken, [], g1)
+    with pytest.raises(GraphError, match="different lifetimes"):
+        validate_sequence(broken, [], TemporalGraph(broken.names, 3, broken.edges))

@@ -435,6 +435,46 @@ def test_plan_matches_the_full_sweep_reference():
     assert seen["deep"] >= 20 and seen["partial"] >= 100
 
 
+def test_pair_counts_match_the_counter_form():
+    seen = Counter()
+    for g1, g2 in differential_pairs():
+        for a, b in ((g1, g2), (g2, g1)):
+            only_a, only_b = a.edges - b.edges, b.edges - a.edges
+            want = Counter(e[:2] for e in only_a) == Counter(e[:2] for e in only_b)
+            assert check_pair_counts(a, b) == core._pair_counts_agree(only_a, only_b) == want, (a, b)
+            seen[want] += 1
+        moved = min(g1.edges)  # a pair gives a label to another pair
+        slots = (TemporalEdge(u, v, t) for u in range(g1.n) for v in range(u + 1, g1.n) for t in range(1, g1.lifetime + 1))
+        free = next((e for e in slots if e.pair != moved.pair and e not in g1.edges), None)
+        if free is not None:
+            h = TemporalGraph(g1.names, g1.lifetime, g1.edges - {moved} | {free})
+            assert not check_pair_counts(g1, h) and not check_pair_counts(h, g1)
+            seen[False] += 1
+    assert seen[True] >= 1400 and seen[False] >= 600, seen
+
+
+def test_the_decision_builds_forests_for_g1_alone(monkeypatch):
+    # g1's connectivity is read off the forests its sweep needs, and g2
+    # costs one union-find pass per snapshot; no snapshot pays for both
+    real_forest, real_connected = core.static_bridges, core._connected
+    forests, passes = [], []
+    monkeypatch.setattr(core, "static_bridges", lambda n, edges: forests.append(edges) or real_forest(n, edges))
+    monkeypatch.setattr(core, "_connected", lambda n, edges: passes.append(edges) or real_connected(n, edges))
+    decided = 0
+    for g1, g2 in differential_pairs()[::7]:
+        for decide in (feasible, plan):
+            g1, g2 = (TemporalGraph(g.names, g.lifetime, g.edges) for g in (g1, g2))
+            forests.clear()
+            passes.clear()
+            decide(g1, g2)
+            g1_snapshots = [g1._edges_at[t] for t in sorted(g1._edges_at)]
+            assert [id(e) for e in forests[: g1.lifetime]] == list(map(id, g1_snapshots))
+            assert g2._forest_at == {} and len(passes) == (g2.lifetime if g2 != g1 else 0)  # equal graphs: one check
+            assert not {id(e) for e in passes} & set(map(id, g1_snapshots))
+            decided += 1
+    assert decided > 150
+
+
 def test_plan_raises_when_a_later_phase_finds_an_unchangeable_differing_edge(monkeypatch, tri, infeas):
     # after the first phase, hand the loop a pair whose differing edges are
     # unchangeable: the goal-directed sweep must run to its end and say so
