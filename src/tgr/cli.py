@@ -301,6 +301,9 @@ def main(argv=None) -> int:
     except (ParseError, GraphError, OSError) as exc:
         print(f"tgr: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("tgr: out of memory", file=sys.stderr)
+        return 2
     return code
 
 

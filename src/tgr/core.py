@@ -3,29 +3,29 @@
 A temporal graph is a fixed vertex set together with a set of undirected
 edges, each active at one integer time in ``1..lifetime``.  Vertices are
 dense indices internally; a name table maps them to external tokens.
-Whether every snapshot is connected costs one union-find pass per
-snapshot.  One painted spanning forest per snapshot (``static_bridges``,
-cached on the graph) gives its bridges and their sides; it is built only
-by code that reads bridges, and when built first it also tells
-connectivity, so no snapshot pays for both.  Its one bridge map,
-``above``, holds each bridge, as the snapshot's own ``TemporalEdge``,
-by its lower end; every reader of bridges reads that map.  All operations
-on graph values are pure: relabeling an edge returns a new graph value,
-which keeps the cached forest of every snapshot the relabel leaves alone.
-Validating a sequence instead walks one private, mutable working copy (the
-edge set and each touched snapshot's neighbour sets), where a step's bridge
-test is a local two-ended search and a step that passes is an O(1) update.
-A plan extends that working copy with private copies of the forests
-(``_Forest``), which it keeps current per relabel instead of rebuilding
-them: an added edge paints its tree path, and a removed one re-grows the
-tree of its 2-edge-connected component.
-The public constructor checks everything; ``build`` checks what it reads and
-``_checked_graph`` takes parts that are already checked.
+Each fact about a graph's snapshots is derived in one place and cached on
+the graph: its edges by time (``_edges_at``); whether every snapshot is
+connected (``_disconnected_at``, one union-find pass per snapshot, or the
+snapshot's forest when one is cached); and one painted spanning forest per
+snapshot (``static_bridges``), built only by code that reads bridges, in
+time order up to the first disconnected snapshot, so no snapshot pays for
+both.  A forest's one bridge map, ``above``, holds each bridge, as the
+snapshot's own ``TemporalEdge``, by its lower end.  Relabeling an edge
+returns a new graph value that keeps the forest of every snapshot the
+relabel leaves alone.  Validating a sequence instead walks one private,
+mutable working copy (the edge set and each touched snapshot's neighbour
+sets), where a step's bridge test is a local two-ended search and a step
+that passes is an O(1) update.  A plan extends that working copy with a
+private copy of every forest (``_Forest``), kept current per relabel: an
+added edge paints its tree path, and a removed one re-grows the tree of
+its 2-edge-connected component.  The public constructor checks everything;
+``build`` checks what it reads and ``_checked_graph`` takes parts that are
+already checked.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -97,17 +97,14 @@ class TemporalGraph:
             self, "edges", frozenset(TemporalEdge(*e) for e in self.edges)
         )
         n = len(self.names)
-        edges_at: dict[int, list[TemporalEdge]] = {}
         for e in self.edges:
             if not 0 <= e.u < e.v < n:
                 raise GraphError(f"bad edge endpoints {e!r} for {n} vertices")
             if not 1 <= e.t <= self.lifetime:
                 raise GraphError(f"edge time out of range: {e!r}")
-            edges_at.setdefault(e.t, []).append(e)
-        # The edges by time, and ``static_bridges`` of each snapshot asked
-        # for so far.  An entry depends only on its snapshot's edges, so a
-        # relabel's result shares those of the snapshots it leaves alone.
-        object.__setattr__(self, "_edges_at", edges_at)
+        # ``static_bridges`` of each snapshot asked for so far.  An entry
+        # depends only on its snapshot's edges, so a relabel's result shares
+        # those of the snapshots it leaves alone.
         object.__setattr__(self, "_forest_at", {})
 
     @classmethod
@@ -126,7 +123,6 @@ class TemporalGraph:
         _require_distinct(names)
         index = {name: i for i, name in enumerate(names)}
         out: set[TemporalEdge] = set()
-        edges_at: dict[int, list[TemporalEdge]] = {}
         for uname, vname, t in edges:
             if uname not in index:
                 raise GraphError(f"undeclared vertex name {uname!r}")
@@ -143,8 +139,7 @@ class TemporalGraph:
             if e in out:
                 raise GraphError(f"duplicate temporal edge {uname} {vname} {t}")
             out.add(e)
-            edges_at.setdefault(t, []).append(e)
-        return _checked_graph(names, lifetime, frozenset(out), edges_at, {})
+        return _checked_graph(names, lifetime, frozenset(out))
 
     @property
     def n(self) -> int:
@@ -153,6 +148,14 @@ class TemporalGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def _edges_at(self) -> dict[int, list[TemporalEdge]]:
+        """The edges by time, for the times that have any; cached on the graph."""
+        edges_at: dict[int, list[TemporalEdge]] = {}
+        for e in self.edges:
+            edges_at.setdefault(e.t, []).append(e)
+        return edges_at
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -180,19 +183,16 @@ class TemporalGraph:
             self._forest_at[t] = static_bridges(self.n, self._edges_at.get(t, ()))
         return self._forest_at[t]
 
-    def _forests(self) -> dict[int, StaticBridges] | None:
-        """The forest of every snapshot, keyed by time, or None when some
-        snapshot is not connected.  When connectivity is not known yet, the
-        forests are built in time order and tell it, stopping at the first
-        disconnected snapshot, so no snapshot also pays for a union-find pass."""
-        times = range(1, self.lifetime + 1) if self.n > 1 else ()
-        if "_disconnected_at" not in self.__dict__:
-            self.__dict__["_disconnected_at"] = next((t for t in times if self._forest(t).parent.count(-1) > 1), None)
-        if self._disconnected_at is not None:
-            return None
-        if len(self._forest_at) < len(times):
-            for t in times:
-                self._forest(t)
+    def _forests(self) -> dict[int, StaticBridges]:
+        """The cache of forests, keyed by time, filled first in time order up
+        to the first disconnected snapshot unless it is full or one is known
+        already.  So ``_disconnected_at``, read after, finds each snapshot it
+        needs in the cache, and no snapshot pays for both a forest and a
+        union-find pass."""
+        if len(self._forest_at) < self.lifetime and self.__dict__.get("_disconnected_at") is None:
+            for t in range(1, self.lifetime + 1) if self.n > 1 else ():
+                if self._forest(t).parent.count(-1) > 1:
+                    break
         return self._forest_at
 
     def _adj(self, t: int) -> dict[int, set[int]]:
@@ -219,11 +219,11 @@ class TemporalGraph:
         return Counter(e[:2] for e in self.edges)
 
 
-def _checked_graph(names, lifetime, edges, edges_at, forest_at) -> TemporalGraph:
+def _checked_graph(names, lifetime, edges, forest_at=None) -> TemporalGraph:
     """The graph of parts its caller has checked (``build``, the .tg reader, ``apply_relabel``, ``plan``):
-    ``edges`` a frozenset, ``edges_at`` them by time, ``forest_at`` cached forests that hold."""
+    ``edges`` a frozenset, ``forest_at`` cached forests that hold."""
     out = object.__new__(TemporalGraph)
-    out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _edges_at=edges_at, _forest_at=forest_at)
+    out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _forest_at={} if forest_at is None else forest_at)
     return out
 
 
@@ -339,7 +339,7 @@ def static_bridges(n: int, edges: Sequence[Sequence[int]]) -> StaticBridges:
 
 
 class _Forest:
-    """A private copy of the cached forest of snapshot ``t`` of a graph, kept
+    """A private copy ``f`` of the forest of snapshot ``t`` of a graph, kept
     current while edges come and go in that connected snapshot.  ``parent``
     and ``top`` are as in ``StaticBridges`` (``top`` as a union-find whose
     chains may be long), and so is ``above``, each bridge by its lower end;
@@ -348,8 +348,7 @@ class _Forest:
     label, and the lowest common ancestor's is below both.
     """
 
-    def __init__(self, g: TemporalGraph, t: int, bridges: set[TemporalEdge]):
-        f = g._forest(t)
+    def __init__(self, f: StaticBridges, t: int, bridges: set[TemporalEdge]):
         self.t, self.bridges = t, bridges
         self.parent, self.depth, self.top = list(f.parent), list(f.depth), list(f.top)
         self.above = dict(f.above)
@@ -418,13 +417,14 @@ class _Forest:
 
 
 def _adjacency(edges: Iterable[Sequence[int]]) -> dict[int, set[int]]:
-    """A static graph as a vertex -> neighbour-set dict; each edge's first two
-    fields are its ends.  Vertices without edges are left out."""
-    adj: dict[int, set[int]] = {}
+    """A static graph as a vertex -> neighbour-set ``defaultdict``; each
+    edge's first two fields are its ends.  A vertex gets its set at its
+    first edge, so vertices without edges are left out."""
+    adj: dict[int, set[int]] = defaultdict(set)
     for e in edges:
         u, v = e[0], e[1]
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
 
 
@@ -479,7 +479,7 @@ def _snapshot_forests(g: TemporalGraph) -> dict[int, StaticBridges]:
     """The cached forest of every snapshot, keyed by time; raises unless ``g``
     is always-connected."""
     forests = g._forests()
-    if forests is None:
+    if g._disconnected_at is not None:
         raise GraphError(f"snapshot {g._disconnected_at} is not connected")
     return forests
 
@@ -507,6 +507,13 @@ def _slot_fault(g: TemporalGraph, op: RelabelOp) -> str | None:
     if tgt in g.edges:
         return "collision"
     return None
+
+
+def _require_slot(g: TemporalGraph | _WorkingCopy, op: RelabelOp) -> None:
+    """Raise unless ``op`` passes the slot rule on ``g``."""
+    fault = _slot_fault(g, op)
+    if fault is not None:
+        raise GraphError(f"cannot apply {op!r}: {fault}")
 
 
 def _relabel_fault(g: TemporalGraph | _WorkingCopy, op: RelabelOp) -> str | None:
@@ -538,15 +545,10 @@ def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
     and detect them afterwards.  The result is derived from ``g``: it keeps
     the cached forest of every snapshot the relabel leaves alone.
     """
-    fault = _slot_fault(g, op)
-    if fault is not None:
-        raise GraphError(f"cannot apply {op!r}: {fault}")
+    _require_slot(g, op)
     src, tgt = op.source(), op.target()
-    edges_at = dict(g._edges_at)
-    edges_at[src.t] = [e for e in edges_at[src.t] if e != src]
-    edges_at[tgt.t] = edges_at.get(tgt.t, []) + [tgt]
     return _checked_graph(
-        g.names, g.lifetime, g.edges - {src} | {tgt}, edges_at,
+        g.names, g.lifetime, g.edges - {src} | {tgt},
         {t: forest for t, forest in g._forest_at.items() if t not in (src.t, tgt.t)},
     )
 
@@ -575,8 +577,8 @@ class _WorkingCopy:
         old, new = self._adj(src.t), self._adj(tgt.t)
         old[src.u].discard(src.v)
         old[src.v].discard(src.u)
-        new.setdefault(tgt.u, set()).add(tgt.v)
-        new.setdefault(tgt.v, set()).add(tgt.u)
+        new[tgt.u].add(tgt.v)
+        new[tgt.v].add(tgt.u)
 
 
 def validate_sequence(

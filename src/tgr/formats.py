@@ -120,12 +120,11 @@ def read_text(path: str | Path) -> str:
 
 
 def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
-    """One pass: each line is checked once, and the edge set and the
-    per-snapshot edge lists are filled as the edges are read."""
+    """One pass: each line is checked once, and the edge set is filled as
+    the edges are read."""
     lifetime: int | None = None
     index: dict[str, int] = {}
     edges: set[TemporalEdge] = set()
-    edges_at: dict[int, list[TemporalEdge]] = {}
     for no, tokens in _body(text, source, "tg", TG_VERSION):
         directive = tokens[0]
         if directive == "e":
@@ -151,7 +150,6 @@ def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
             if e in edges:
                 raise ParseError(source, no, f"duplicate temporal edge {uname} {vname} {t}")
             edges.add(e)
-            edges_at.setdefault(t, []).append(e)
         elif directive == "t":
             lifetime = _once_int(source, no, tokens, lifetime, "t <lifetime>", "lifetime", 1)
         elif directive == "v":
@@ -160,7 +158,7 @@ def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
             raise ParseError(source, no, f"unknown directive {directive!r}")
     if lifetime is None:
         raise ParseError(source, 1, "missing 't' directive")
-    return _checked_graph(tuple(index), lifetime, frozenset(edges), edges_at, {})
+    return _checked_graph(tuple(index), lifetime, frozenset(edges))
 
 
 def format_temporal_graph(g: TemporalGraph) -> str:

@@ -66,7 +66,8 @@ class _Slots:
         slots = [TemporalEdge(u, v, t) for u, v in pairs for t in range(1, self.lifetime + 1)]
         self.bit = {e: 1 << i for i, e in enumerate(slots)}
         self.ends = [sum(map(self.bit.__getitem__, g.edges)) for g in graphs]  # the graphs' states
-        bits, T = list(self.bit.values()), self.lifetime
+        bits = list(self.bit.values())
+        T = self.lifetime if bits else 0  # n >= 2 gives T <= M; an edgeless graph gets no per-snapshot table
         # the moves of each slot: to the other slots of its pair, in ascending time
         self.moves = {bit: [o for o in bits[i - i % T:i - i % T + T] if o != bit] for i, bit in enumerate(bits)}
         self.masks = [sum(bits[t::T]) for t in range(T)]  # the slots of each snapshot
@@ -176,10 +177,10 @@ def oracle_shortest_sequence(
     budget; once a cap bites, the search stops with "budget".
     """
     require_endpoints(g1, g2)
+    if g1.edges == g2.edges:  # before the slot space, whose size is the pairs times the lifetime
+        return SearchOutcome("found", ())
     space = _Slots(g1, g2, memo_size=budget.max_states)
     levels = [[end] for end in space.ends]  # forward, backward
-    if levels[0] == levels[1]:
-        return SearchOutcome("found", ())
     parents = [dict.fromkeys(level) for level in levels]
     length = 0  # the depths of both sides together
     while levels[0] and levels[1]:

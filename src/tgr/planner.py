@@ -14,12 +14,12 @@ thus shows every differing edge changeable for the whole plan (the
 difference only shrinks), so a later phase sweeps only to the first level
 that levels a differing edge, and not at all when one is a non-bridge.
 
-Both sides live in one private planning state, built only to plan and
-updated in place by every relabel; no graph value is built but the meeting
-graph.  The state keeps a copy of each snapshot's bridge forest current
-for the sweeps: adding an edge costs its painted tree path, and removing
-one costs the edges of its 2-edge-connected component plus any subtree
-shifted below it.
+Both sides live in one private planning state, built only to plan two
+graphs that differ and updated in place by every relabel; no graph value
+is built but the meeting graph.  The state copies every snapshot's bridge
+forest once, at the start, and keeps the copies current for the sweeps:
+adding an edge costs its painted tree path, and removing one costs the
+edges of its 2-edge-connected component plus any subtree shifted below it.
 
 One wrinkle: an enabling op can be inapplicable on the target side, namely
 when its destination slot is already occupied there (necessarily by an edge
@@ -42,7 +42,7 @@ from .core import (
     _Forest,
     _pair_counts_agree,
     _require_connected,
-    _slot_fault,
+    _require_slot,
     _snapshot_forests,
     _WorkingCopy,
     require_compatible,
@@ -78,11 +78,11 @@ class _PlanState(_WorkingCopy):
     """The two sides of a plan while it runs, both starting as copies of
     the endpoints.  Side 1 is a working copy (its edge set and the
     neighbour sets of each snapshot a move touched) that also keeps its
-    bridge set and, from the first time a sweep or a move needs one, a
-    private copy of each snapshot's cached forest, which every move keeps
-    current.  Side 2 keeps only its edge set, and ``diff`` the edges only
-    side 1 has.  A level table of the state holds side 1's live edge set,
-    so it is read before the next move.
+    bridge set and ``forests``, a private copy of every snapshot's forest
+    made at the start, which every move keeps current.  Side 2 keeps only
+    its edge set, and ``diff`` the edges only side 1 has.  A level table of
+    the state holds side 1's live edge set, so it is read before the next
+    move.
     """
 
     def __init__(self, g1: TemporalGraph, g2: TemporalGraph):
@@ -91,13 +91,7 @@ class _PlanState(_WorkingCopy):
         self.diff = self.edges - self.edges2
         forests = _snapshot_forests(g1)
         self.bridges = {b for f in forests.values() for b in f.above.values()}
-        self._unforested = [t for t, f in forests.items() if f.above]  # sweeps need them all
-        self._forests: dict[int, _Forest] = {}
-
-    def forest(self, t: int) -> _Forest:
-        if t not in self._forests:
-            self._forests[t] = _Forest(self._g, t, self.bridges)  # ``g1`` still holds snapshot t
-        return self._forests[t]
+        self.forests = {t: _Forest(f, t, self.bridges) for t, f in forests.items()}
 
     def table(self) -> ChangeTable:
         """Side 1's level table, exact only up to the first full level that
@@ -106,9 +100,7 @@ class _PlanState(_WorkingCopy):
         free = self.diff - self.bridges
         if free:
             return ChangeTable(self.edges, dict.fromkeys(free, 0), {}, 0)
-        while self._unforested:
-            self.forest(self._unforested.pop())
-        table = _sweep(self.edges, self._forests, self.diff, any)
+        table = _sweep(self.edges, self.forests, self.diff, any)
         if table.levels.keys().isdisjoint(self.diff):  # walks the smaller side
             raise GraphError(f"differing edge became unchangeable mid-plan: {min(self.diff)!r}")
         return table
@@ -116,14 +108,11 @@ class _PlanState(_WorkingCopy):
     def move(self, op: RelabelOp) -> None:
         """Apply ``op`` to side 1; raises if it breaks the slot rule or
         moves a bridge."""
-        fault = _slot_fault(self, op)
-        if fault is not None:
-            raise GraphError(f"cannot apply {op!r}: {fault}")
+        _require_slot(self, op)
         src, tgt = op.source(), op.target()
-        old, new = self.forest(src.t), self.forest(tgt.t)  # copied before the snapshots change
         self.relabel(op)
-        new.add(tgt.u, tgt.v)
-        old.remove(src.u, src.v, self._adj(src.t))
+        self.forests[tgt.t].add(tgt.u, tgt.v)
+        self.forests[src.t].remove(src.u, src.v, self._adj(src.t))
         self.diff.discard(src)
         if tgt not in self.edges2:
             self.diff.add(tgt)
@@ -169,14 +158,18 @@ def _decide(g1: TemporalGraph, g2: TemporalGraph) -> ChangeTable | Infeasible:
     """The decision: endpoint precondition, per-pair label counts, then
     ``classify`` of g1 until every differing edge has a level.
     Reconfiguration is possible exactly when this returns a table.  g1's
-    connectivity is read off the forests its sweep needs, built first;
-    g2's costs one union-find pass."""
+    connectivity is read off the forests its sweep needs, built first; with
+    no difference, no forest is built, and g1's, like g2's, costs one
+    union-find pass."""
     require_compatible(g1, g2)
-    g1._forests()
-    _require_connected(g1, g2)
     diff = g1.edges - g2.edges
+    if diff:
+        g1._forests()
+    _require_connected(g1, g2)
     if not _pair_counts_agree(diff, g2.edges - g1.edges):
         return Infeasible("pair_counts", None)
+    if not diff:
+        return ChangeTable(g1.edges, {}, {}, -1)
     table = classify(g1, until=diff)
     stuck = diff.difference(table.levels)
     return Infeasible("unchangeable", min(stuck)) if stuck else table
@@ -229,6 +222,8 @@ def plan(g1: TemporalGraph, g2: TemporalGraph) -> PlanOutcome:
     table = _decide(g1, g2)
     if isinstance(table, Infeasible):
         return table
+    if not table.levels:  # equal endpoints
+        return Feasible((), g1, 0)
     state = _PlanState(g1, g2)
     seq1: list[RelabelOp] = []
     seq2: list[RelabelOp] = []
@@ -246,8 +241,5 @@ def plan(g1: TemporalGraph, g2: TemporalGraph) -> PlanOutcome:
     m = g1.m
     if len(sequence) > 2 * m * m:
         raise GraphError("plan exceeded the quadratic length bound")
-    edges_at: dict[int, list[TemporalEdge]] = {}
-    for e in state.edges:
-        edges_at.setdefault(e.t, []).append(e)
-    meeting = _checked_graph(g1.names, g1.lifetime, frozenset(state.edges), edges_at, {})
+    meeting = _checked_graph(g1.names, g1.lifetime, frozenset(state.edges))
     return Feasible(sequence, meeting, phases)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -340,3 +344,35 @@ def test_check_long_sparse_graph_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("tgr: ") and "not always-connected" in captured.err
+
+
+def _run_capped(args, cwd, limit=256 << 20, timeout=20):
+    """``tgr`` in a child process whose address space is capped at ``limit``
+    bytes, so a run that builds too much fails fast instead of growing."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(tgr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "tgr.cli", *args]
+    return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=cap)
+
+
+def test_oracle_answers_equal_endpoints_before_it_builds_the_slot_space(tmp_path):
+    (tmp_path / "one.tg").write_text("tg 1\nt 100000000\nv a\n")  # 21 bytes, lifetime 10^8
+    out = _run_capped(["oracle", "--g1", "one.tg", "--g2", "one.tg"], tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "found 0\n", "")
+
+
+def test_running_out_of_memory_exits_2_with_one_diagnostic(tmp_path):
+    # about 200,000 slots: the oracle's slot space outgrows a 256 MB cap
+    n, lifetime = 2000, 10
+    head = f"tg 1\nt {lifetime}\n" + "".join(f"v v{i}\n" for i in range(n))
+    stars = "".join(f"e v{t - 1} v{i} {t}\n" for t in range(1, lifetime + 1) for i in range(n) if i != t - 1)
+    for name, t in (("g1", 1), ("g2", 2)):
+        (tmp_path / f"{name}.tg").write_text(f"{head}{stars}e v100 v101 {t}\n")
+    out = _run_capped(["oracle", "--max-states", "10", "--g1", "g1.tg", "--g2", "g2.tg"], tmp_path)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.startswith("tgr: ") and out.stderr.count("\n") == 1, out.stderr
