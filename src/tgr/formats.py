@@ -1,12 +1,16 @@
 """Line-based text formats for graphs (.tg), relabeling sequences (.tgs)
 and vertex-cover instances (.vc).  Parsing is strict: every violation is a
 ParseError carrying the offending line number.  The .tg reader builds the
-graph in one pass.  Writers refuse a vertex name that would not read back.
+graph in one pass over its own line loop, at one split, two name lookups,
+one time-token lookup, one edge construction and one set add per valid edge
+line; the .tgs, .vc and edge-list readers share the line rule of ``_lines``
+and ``_body``.  Writers refuse a vertex name that would not read back.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import filterfalse
 from pathlib import Path
 
@@ -26,6 +30,9 @@ class ParseError(ValueError):
 
 
 def _lines(text: str):
+    """(line number, tokens) of each line that is neither blank nor a '#'
+    comment: the line rule of the .tgs, .vc and edge-list readers, which the
+    .tg reader repeats inline."""
     for no, raw in enumerate(text.splitlines(), 1):
         tokens = raw.split()
         if tokens and tokens[0][0] != "#":
@@ -120,42 +127,58 @@ def read_text(path: str | Path) -> str:
 
 
 def parse_temporal_graph(text: str, source: str = "<string>") -> TemporalGraph:
-    """One pass: each line is checked once, and the edge set is filled as
-    the edges are read."""
+    """One pass over the lines, tokenised here rather than by ``_lines``: a
+    valid edge line costs one ``split``, two name lookups, one lookup of its
+    time token, one C-level edge construction and one set add."""
     lifetime: int | None = None
     index: dict[str, int] = {}
     edges: set[TemporalEdge] = set()
-    for no, tokens in _body(text, source, "tg", TG_VERSION):
+    times: dict[str, int] = {}  # each distinct time token passes _int, the one integer rule, once
+    new_edge = partial(tuple.__new__, TemporalEdge)  # skips the NamedTuple's Python-level __new__
+    header = False
+    for no, raw in enumerate(text.splitlines(), 1):
+        tokens = raw.split()
+        if not tokens:
+            continue
         directive = tokens[0]
-        if directive == "e":
+        if directive == "e" and header:
             if len(tokens) != 4:
                 raise ParseError(source, no, "expected 'e <u> <v> <t>'")
             if lifetime is None:
                 raise ParseError(source, no, "edge before 't' directive")
             _, uname, vname, time = tokens
-            if time.isascii() and time.isdigit() and len(time) < 19:  # else _int, the one integer rule
-                t = int(time)
-            else:
-                t = _int(source, no, time, "edge time")
-            u, v = index.get(uname), index.get(vname)
-            if u is None or v is None:  # raises on the first undeclared name
-                _lookup(source, no, index, uname if u is None else vname)
+            t = times.get(time)
+            if t is None:
+                t = times[time] = _int(source, no, time, "edge time")
+            try:
+                u, v = index[uname], index[vname]
+            except KeyError:  # raises on the first undeclared name
+                _lookup(source, no, index, uname)
+                _lookup(source, no, index, vname)
             if u > v:
                 u, v = v, u
             elif u == v:
                 raise ParseError(source, no, f"self-loop on {uname!r}")
             if not 1 <= t <= lifetime:
                 raise ParseError(source, no, f"edge time {t} outside 1..{lifetime}")
-            e = TemporalEdge(u, v, t)
-            if e in edges:
+            size = len(edges)
+            edges.add(new_edge((u, v, t)))
+            if len(edges) == size:
                 raise ParseError(source, no, f"duplicate temporal edge {uname} {vname} {t}")
-            edges.add(e)
+        elif directive[0] == "#":
+            continue
+        elif not header:
+            if tokens != ["tg", str(TG_VERSION)]:
+                raise ParseError(source, no, f"expected header 'tg {TG_VERSION}'")
+            header = True
         elif directive == "t":
             lifetime = _once_int(source, no, tokens, lifetime, "t <lifetime>", "lifetime", 1)
         elif directive == "v":
             _declare(source, no, tokens, index)
         else:
             raise ParseError(source, no, f"unknown directive {directive!r}")
+    if not header:
+        raise ParseError(source, 1, f"missing header 'tg {TG_VERSION}'")
     if lifetime is None:
         raise ParseError(source, 1, "missing 't' directive")
     return _checked_graph(tuple(index), lifetime, frozenset(edges))

@@ -1,12 +1,17 @@
 """Seeded random always-connected instances: per snapshot a uniform random
 labeled spanning tree plus random further edges.  ``tgr gen`` and the tests
-draw their graphs from here.
+draw their graphs from here.  The further edges are sampled from a lazy view
+of the non-tree pairs, so a snapshot takes O(n + extra) time and memory, not
+O(n²).
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
+from math import isqrt
 
 from .core import GraphError, TemporalEdge, TemporalGraph
 
@@ -36,6 +41,29 @@ def _random_tree(n: int, rng: random.Random) -> list[tuple[int, int]]:
     return edges
 
 
+class _NonTreePairs(Sequence):
+    """The vertex pairs ``(u, v)``, u < v, that are not in ``tree``, in sorted
+    order, each computed on demand: rank arithmetic plus one bisect over the
+    tree pairs' ranks."""
+
+    def __init__(self, n: int, tree: list[tuple[int, int]]):
+        self.n = n
+        self.pairs = n * (n - 1) // 2
+        ranks = sorted(u * (2 * n - u - 1) // 2 + v - u - 1 for u, v in tree)
+        self.below = [r - j for j, r in enumerate(ranks)]  # non-tree ranks below each tree rank
+        self.size = self.pairs - len(ranks)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < self.size:
+            raise IndexError(i)  # random.sample copies a small population by iterating up to this
+        rank = i + bisect_right(self.below, i)
+        u = self.n - 2 - (isqrt(8 * (self.pairs - 1 - rank) + 1) - 1) // 2
+        return u, rank - u * (2 * self.n - u - 1) // 2 + u + 1
+
+
 def generate_random_instance(
     n: int, lifetime: int, extra_per_snapshot: int, seed: int
 ) -> TemporalGraph:
@@ -56,17 +84,7 @@ def generate_random_instance(
     edges: set[TemporalEdge] = set()
     for t in range(1, lifetime + 1):
         tree = _random_tree(n, rng)
-        used = set(tree)
-        for u, v in tree:
+        for u, v in tree + rng.sample(_NonTreePairs(n, tree), extra_per_snapshot):
             edges.add(TemporalEdge(u, v, t))
-        if extra_per_snapshot:
-            pool = sorted(
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if (u, v) not in used
-            )
-            for u, v in rng.sample(pool, extra_per_snapshot):
-                edges.add(TemporalEdge(u, v, t))
     names = tuple(f"v{i}" for i in range(n))
     return TemporalGraph(names, lifetime, frozenset(edges))

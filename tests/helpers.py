@@ -31,6 +31,7 @@ from tgr import (
 )
 from tgr.core import ValidationReport, _slot_fault, require_endpoints, static_bridges
 from tgr.formats import TG_VERSION, ParseError, _declare, _int, _lookup, _once_int
+from tgr.generator import _random_tree
 
 
 def reach(n: int, pairs, start: int = 0) -> list[bool]:
@@ -179,6 +180,21 @@ def perturb(g: TemporalGraph, steps: int, rng: random.Random) -> TemporalGraph:
             break
         cur = apply_relabel(cur, rng.choice(moves))
     return cur
+
+
+def reference_generate_random_instance(n: int, lifetime: int, extra_per_snapshot: int, seed: int) -> TemporalGraph:
+    """Slow reference for ``generate_random_instance``: the same draws, but
+    the non-tree pairs are listed and sorted eagerly, O(n²) per snapshot."""
+    rng = random.Random(seed)
+    edges: set[TemporalEdge] = set()
+    for t in range(1, lifetime + 1):
+        tree = _random_tree(n, rng)
+        edges.update(TemporalEdge(u, v, t) for u, v in tree)
+        if extra_per_snapshot:
+            used = set(tree)
+            pool = sorted((u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in used)
+            edges.update(TemporalEdge(u, v, t) for u, v in rng.sample(pool, extra_per_snapshot))
+    return TemporalGraph(tuple(f"v{i}" for i in range(n)), lifetime, frozenset(edges))
 
 
 def small_instance(seed: int) -> TemporalGraph:

@@ -366,6 +366,12 @@ def test_oracle_answers_equal_endpoints_before_it_builds_the_slot_space(tmp_path
     assert (out.returncode, out.stdout, out.stderr) == (0, "found 0\n", "")
 
 
+def test_gen_samples_further_edges_without_listing_every_pair(tmp_path):
+    # the 4.5 million pairs of K_3000, listed and sorted, outgrow a 256 MB cap
+    out = _run_capped(["gen", "--n", "3000", "--t", "2", "--extra", "10", "-o", "g.tg"], tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "generated n=3000 t=2 m=6018\n", "")
+
+
 def test_running_out_of_memory_exits_2_with_one_diagnostic(tmp_path):
     # about 200,000 slots: the oracle's slot space outgrows a 256 MB cap
     n, lifetime = 2000, 10

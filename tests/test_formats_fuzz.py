@@ -4,6 +4,7 @@ one-pass .tg reader agrees with the slow reference in ``helpers``."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tgr import RelabelOp, generate_random_instance
@@ -35,13 +36,13 @@ LINE = st.builds(lambda d, args: " ".join([d, *args]), DIRECTIVE, st.lists(ARGUM
 
 
 def _read_tg(read, text):
-    """The graph ``read`` makes of ``text`` with its per-snapshot edge sets,
-    or the line and text of its ParseError."""
+    """The graph ``read`` makes of ``text`` with its per-snapshot edge sets
+    and the types of its edges, or the line and text of its ParseError."""
     try:
         g = read(text)
     except ParseError as exc:
         return exc.line, str(exc)
-    return g, {t: set(at) for t, at in g._edges_at.items()}
+    return g, {t: set(at) for t, at in g._edges_at.items()}, {type(e) for e in g.edges}
 
 
 @given(st.text(max_size=200), st.lists(LINE, max_size=20).map("\n".join))
@@ -55,11 +56,19 @@ def test_tg_reader_matches_reference_on_each_edge_line():
     """Lines that break several rules at once pin the order of the checks."""
     opening = READERS[0][1]
     names = ("a", "b", "z", "a,b")
-    times = ("1", "2", "3", "0", "-1", "+1", "x", "9" * 20, "9" * 5000)
+    # tokens with equal values, or that int() alone would take, each read by the integer rule
+    times = ("1", "2", "3", "0", "-1", "+1", "x", "9" * 20, "9" * 5000, "01", "001", "1_0", "\u0661")
     for u, v, t in itertools.product(names, names, times):
         line = f"e {u} {v} {t}\n"
         for text in (opening + line, opening + "e a b 1\n" + line, "tg 1\nv a\n" + line):
             assert _read_tg(parse_temporal_graph, text) == _read_tg(helpers.reference_parse_temporal_graph, text)
+    assert _read_tg(parse_temporal_graph, opening + "e a b 1\ne a b 01\n") == (6, "<string>:6: duplicate temporal edge a b 1")
+
+
+def test_tg_reader_keeps_no_time_token_between_reads():
+    assert parse_temporal_graph("tg 1\nt 2\nv a\nv b\ne a b 2\n").m == 1
+    with pytest.raises(ParseError, match=r"^<string>:5: edge time 2 outside 1\.\.1$"):
+        parse_temporal_graph("tg 1\nt 1\nv a\nv b\ne a b 2\n")
 
 
 @given(st.text(max_size=200), st.lists(LINE, max_size=20).map("\n".join))
