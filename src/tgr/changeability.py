@@ -13,8 +13,10 @@ one per snapshot, and claims each bridge once from a copy of the forest's
 bridge map; it runs no traversal of its own and builds no per-edge
 crossing map.  ``_sweep`` is the one way in: ``classify``, which also
 decides feasibility (``planner``), stops once every edge it is asked about
-has a level, and a plan feeds it the forests it keeps current and stops at
-the first level that levels any differing edge.
+has a level.  A plan feeds it the forests and the sorted non-bridges it
+keeps current, and wants only the smallest differing edge of the first
+level that levels one, with its chain: that level is painted snapshot by
+snapshot, smallest differing edge first, only until that edge is claimed.
 """
 
 from __future__ import annotations
@@ -111,39 +113,62 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     # an edge of g is a bridge iff its snapshot's map holds it at one of its ends
     if until is not None and all(e in edges and e not in map(forests[e.t].above.get, e.pair) for e in until):
         return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
-    return _sweep(edges, forests, until, all)
+    level0 = sorted(edges.difference(*(f.above.values() for f in forests.values())))
+    return _sweep(edges, forests, level0, until, all)
 
 
 def _sweep(
     edges: AbstractSet[TemporalEdge],
     forests: Mapping[int, StaticBridges | _Forest],
+    level0: list[TemporalEdge],
     until: Collection[TemporalEdge] | None,
     enough: Callable[[Iterable[bool]], bool],
 ) -> ChangeTable:
     """The level sweep of ``classify`` on ``edges``, whose bridges are
-    those of ``forests``, each snapshot's forest keyed by time.  It paints
-    a copy of each forest's ``top`` and claims from a copy of its
-    ``above``; ``depth`` need only grow from parent to child.  With
-    ``until``, it stops after the first full level at which ``enough``
-    (``all`` or ``any``) of the edges of ``until`` have a level; the levels
-    up to there, and their chains, are exact."""
+    those of ``forests``, each snapshot's forest keyed by time, and whose
+    non-bridges ``level0`` lists in canonical order; it only reads that
+    list.  It paints a copy of each forest's ``top`` and claims from a copy
+    of its ``above``; ``depth`` need only grow from parent to child.
+
+    With ``until`` and ``enough=all``, it stops after the first full level
+    at which every edge of ``until`` has a level.  With ``enough=any``, the
+    sweep is goal-directed: at each level it visits the snapshots in the
+    order of their smallest edge of ``until``, and paints each only until
+    that edge is claimed.  Once some edge of ``until`` is claimed, it visits
+    a further snapshot only while that snapshot's smallest edge of
+    ``until`` is below the smallest one claimed so far, and then stops.  A
+    bridge is claimed only by painting in its own snapshot, so the order of
+    the snapshots changes no back-reference.  Either way the levels below
+    the stop level, and their chains, are exact; at the stop level the
+    table holds the smallest levelled edge of ``until`` and its chain."""
     painters = {t: (list(f.top), f.parent, f.depth, dict(f.above)) for t, f in forests.items() if f.above}
-    frontier = sorted(edges.difference(*(f.above.values() for f in forests.values())))
-    levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
+    goals: dict[int, list[TemporalEdge]] = {}  # goal-directed: each snapshot's edges of until, in order
+    for e in sorted(until) if enough is any else ():
+        goals.setdefault(e.t, []).append(e)
+    order = [*goals, *(t for t in painters if t not in goals)]  # goals keep the order of their smallest edges
+    levels: dict[TemporalEdge, int] = dict.fromkeys(level0, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
-    k = 0
+    frontier, k, best = level0, 0, None
     while frontier and painters:
         if until and enough(map(levels.__contains__, until)):
             break  # every level so far, and every chain down from until, is final
         k += 1
         nxt: list[TemporalEdge] = []
-        for t in list(painters):
+        for t in order:
+            if t not in painters:
+                continue
+            mine = goals.get(t, ())
+            if best is not None and not (mine and mine[0] < best):
+                break  # no snapshot left can level a smaller edge of until
+            goal = mine[0] if mine else None
             top, parent, depth, above = painters[t]
             for helper in frontier:
                 u, v, _ = helper
                 a, b = top[u], top[v]
-                if top[a] != a or top[b] != b:
-                    a, b = _find(top, a), _find(top, b)
+                if top[a] != a:
+                    a = _find(top, a)
+                if top[b] != b:
+                    b = _find(top, b)
                 if a == b or (u, v, t) in edges:
                     continue
                 while a != b:  # a is the deeper top: claim the bridge above it
@@ -160,5 +185,12 @@ def _sweep(
                 if not above:
                     del painters[t]
                     break
+                if goal in levels:
+                    break  # the snapshot's smallest edge of until: nothing smaller can follow
+            hit = next(filter(levels.__contains__, mine), None)
+            if hit is not None and (best is None or hit < best):
+                best = hit
+        if best is not None:
+            break  # the stop level: left unsorted
         frontier = sorted(nxt)
     return ChangeTable(edges, levels, back_refs, max(levels.values(), default=-1))
