@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 
 import pytest
@@ -190,10 +192,11 @@ def _differential_pairs():
 
 
 def test_shortest_sequence_matches_reference():
-    statuses = set()
+    statuses, digest = set(), hashlib.sha256()
     for g, h in _differential_pairs():
         ref = helpers.reference_shortest_sequence(g, h)
         out = oracle_shortest_sequence(g, h)
+        digest.update(repr((out.status, out.sequence)).encode())
         assert out.status == ref.status, (g, h)
         statuses.add(out.status)
         if out.status == "found":
@@ -201,6 +204,7 @@ def test_shortest_sequence_matches_reference():
             assert validate_sequence(g, out.sequence, h).ok, (g, h)
         for d in range(4):
             capped = oracle_shortest_sequence(g, h, OracleBudget(max_depth=d))
+            digest.update(repr((capped.status, capped.sequence)).encode())
             ref_capped = helpers.reference_shortest_sequence(g, h, OracleBudget(max_depth=d))
             assert (capped.status == "found") == (ref_capped.status == "found"), (g, h, d)
             if capped.status == "found":
@@ -209,6 +213,9 @@ def test_shortest_sequence_matches_reference():
             # "unreachable" stays a conclusive answer under a depth cap
             assert capped.status != "unreachable" or ref.status == "unreachable", (g, h, d)
     assert statuses == {"found", "unreachable"}
+    # every status and sequence, uncapped and under caps 0-3, byte for byte
+    # as the search gave them when it ran a breadth-first search per snapshot
+    assert digest.hexdigest() == "76533092edb8abd59ec2768d5ce9a6b94d302d0651db3c1abeedcdd33e3baa7e"
 
 
 def test_min_steps_match_reference():
@@ -222,11 +229,15 @@ def test_min_steps_match_reference():
             assert oracle_min_steps_to_nonbridge(g, e) == want, (seed, e)
 
 
-def _count_traversals(monkeypatch) -> list:
-    """Record every snapshot traversal of the oracle's non-bridge masks."""
+def _count_traversals(monkeypatch, *methods) -> list:
+    """Record every call of the given ``_Slots`` methods, by default every
+    snapshot tree the oracle builds: by breadth-first search or derived
+    from a parent's tree."""
     calls = []
-    real = tgr.oracle._Slots._cycles
-    monkeypatch.setattr(tgr.oracle._Slots, "_cycles", lambda self, *args: calls.append(args) or real(self, *args))
+    for name in methods or ("_search", "_gain", "_lose"):
+        real = getattr(tgr.oracle._Slots, name)
+        monkeypatch.setattr(tgr.oracle._Slots, name,
+                            lambda self, *args, real=real, name=name: calls.append((name, args)) or real(self, *args))
     return calls
 
 
@@ -238,6 +249,10 @@ def test_min_steps_map_traverses_each_snapshot_of_each_state_at_most_once(graph,
     states = len(helpers.reachable_graphs(graph))
     assert states > 1
     assert len(traversals) <= graph.lifetime * states
+    space = tgr.oracle._Slots(graph, memo_size=1)
+    (start,) = space.ends
+    searched = [args for name, args in traversals if name == "_search"]
+    assert searched == [(start & mask, t) for t, mask in enumerate(space.masks)]
 
 
 def test_snapshot_memo_traverses_each_distinct_snapshot_once(monkeypatch):
@@ -251,17 +266,74 @@ def test_snapshot_memo_traverses_each_distinct_snapshot_once(monkeypatch):
     assert len(traversals) <= len(snapshots) < g.lifetime * len(reachable)
 
 
+def test_shortest_sequence_runs_a_search_only_for_the_end_states(monkeypatch):
+    # a-b-c path reduction (47 temporal edges, lifetime 2): of the 1,273
+    # states expanded, all but the two end states derive their trees from
+    # their parents'
+    from tgr import VCInstance, build_reduction
+
+    red = build_reduction(VCInstance.build("abc", [("a", "b"), ("b", "c")], 1))
+    searches = _count_traversals(monkeypatch, "_search")
+    expanded = _count_traversals(monkeypatch, "derive")
+    out = oracle_shortest_sequence(red.g1, red.g2)
+    assert out.status == "found" and len(out.sequence) == 10
+    assert len(searches) <= 2 * red.g1.lifetime
+    assert len(expanded) > 1_000
+
+
+def _check_every_move(g, memo_size=OracleBudget().max_states) -> tuple[int, set]:
+    """Walk every graph reachable from ``g`` along trees derived from its
+    breadth-first ones; check each snapshot's search and each move's
+    derived non-bridges against one ``static_bridges`` per snapshot.  Every
+    move of a checked mask is valid, so the walk meets every reachable
+    graph.  Returns the moves checked and the kinds of source met (True for
+    an edge off its snapshot's tree)."""
+    space = tgr.oracle._Slots(g, memo_size=memo_size)
+    want = functools.cache(lambda state: helpers.reference_nonbridges(space, state))
+    (start,) = space.ends
+    trees, stack, checked, kinds = {start: space.derive(start)}, [start], 0, set()
+    while stack:
+        state = stack.pop()
+        searched = sum(space._search(state & mask, t)[2] for t, mask in enumerate(space.masks))
+        nonbridges = space.nonbridges(trees[state])
+        assert searched == nonbridges == want(state), (g, space.edges(state))
+        for src in (bit for bit in space.moves if nonbridges & bit):
+            kinds.add(bool(trees[state][space.slot[src][0]][1] & src))
+            for dst in space.moves[src]:
+                if state & dst:
+                    continue
+                succ = state ^ src ^ dst
+                derived = space.derive(succ, state, trees[state])
+                assert space.nonbridges(derived) == want(succ), (g, space.edges(state), space.edges(succ))
+                checked += 1
+                if succ not in trees:
+                    trees[succ] = derived
+                    stack.append(succ)
+    return checked, kinds
+
+
 def test_nonbridge_masks_match_one_static_bridges_per_snapshot(chain2, infeas):
     graphs = [*map(helpers.small_instance, range(200)), *map(helpers.sparse_instance, helpers.DEEP_T2_SEEDS),
-              helpers.sparse_instance(45), chain2, infeas[0]]
-    checked = 0
+              helpers.sparse_instance(45), helpers.sparse_instance(helpers.DEEP_T3_SEEDS[0]), chain2, infeas[0]]
+    checked, kinds = 0, set()
     for g in graphs:
-        space = tgr.oracle._Slots(g, memo_size=OracleBudget().max_states)
-        for edges in helpers.reachable_graphs(g):
-            state = sum(map(space.bit.__getitem__, edges))
-            assert space.nonbridges(state) == helpers.reference_nonbridges(space, state), (g, sorted(edges))
-            checked += 1
-    assert checked > 6_000
+        moves, seen = _check_every_move(g)
+        checked += moves
+        kinds |= seen
+    assert checked > 250_000 and kinds == {True, False}
+
+
+def test_derived_masks_hold_across_folds_and_without_the_memo(monkeypatch):
+    # folding every second exchange, most trees hold both a folded list and
+    # a chain of exchanges
+    folds, fold = [], tgr.oracle._Slots._fold
+    monkeypatch.setattr(tgr.oracle._Slots, "_fold", staticmethod(lambda paths: folds.append(paths) or fold(paths)))
+    monkeypatch.setattr(tgr.oracle._Slots, "FOLD", 2)
+    checked = 0
+    for g in [*map(helpers.small_instance, range(100)), *map(helpers.sparse_instance, helpers.DEEP_T2_SEEDS),
+              helpers.sparse_instance(45)]:
+        checked += _check_every_move(g, memo_size=0)[0]
+    assert checked > 30_000 and len(folds) > 1_000
 
 
 @pytest.mark.parametrize("lifetime", [1, 2, 3])
