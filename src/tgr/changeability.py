@@ -13,7 +13,7 @@ one per snapshot, and claims each bridge once from a copy of the forest's
 bridge map; it runs no traversal of its own and builds no per-edge
 crossing map.  ``_sweep`` is the one way in: ``classify``, which also
 decides feasibility (``planner``), stops once every edge it is asked about
-has a level.  A plan feeds it the forests and the sorted non-bridges it
+has a level.  A plan feeds it the forests and the set of non-bridges it
 keeps current, and wants only the smallest differing edge of the first
 level that levels one, with its chain: that level is painted snapshot by
 snapshot, smallest differing edge first, only until that edge is claimed.
@@ -113,22 +113,23 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     # an edge of g is a bridge iff its snapshot's map holds it at one of its ends
     if until is not None and all(e in edges and e not in map(forests[e.t].above.get, e.pair) for e in until):
         return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
-    level0 = sorted(edges.difference(*(f.above.values() for f in forests.values())))
-    return _sweep(edges, forests, level0, until, all)
+    nonbridges = edges.difference(*(f.above.values() for f in forests.values()))
+    return _sweep(edges, forests, nonbridges, until, all)
 
 
 def _sweep(
     edges: AbstractSet[TemporalEdge],
     forests: Mapping[int, StaticBridges | _Forest],
-    level0: list[TemporalEdge],
+    nonbridges: Collection[TemporalEdge],
     until: Collection[TemporalEdge] | None,
     enough: Callable[[Iterable[bool]], bool],
 ) -> ChangeTable:
     """The level sweep of ``classify`` on ``edges``, whose bridges are
     those of ``forests``, each snapshot's forest keyed by time, and whose
-    non-bridges ``level0`` lists in canonical order; it only reads that
-    list.  It paints a copy of each forest's ``top`` and claims from a copy
-    of its ``above``; ``depth`` need only grow from parent to child.
+    non-bridges are ``nonbridges``, level 0, which it sorts into canonical
+    order and only reads.  It paints a copy of each forest's ``top`` and
+    claims from a copy of its ``above``; ``depth`` need only grow from
+    parent to child.
 
     With ``until`` and ``enough=all``, it stops after the first full level
     at which every edge of ``until`` has a level.  With ``enough=any``, the
@@ -146,9 +147,10 @@ def _sweep(
     for e in sorted(until) if enough is any else ():
         goals.setdefault(e.t, []).append(e)
     order = [*goals, *(t for t in painters if t not in goals)]  # goals keep the order of their smallest edges
-    levels: dict[TemporalEdge, int] = dict.fromkeys(level0, 0)
+    frontier = sorted(nonbridges)
+    levels: dict[TemporalEdge, int] = dict.fromkeys(frontier, 0)
     back_refs: dict[TemporalEdge, TemporalEdge] = {}
-    frontier, k, best = level0, 0, None
+    k, best = 0, None
     while frontier and painters:
         if until and enough(map(levels.__contains__, until)):
             break  # every level so far, and every chain down from until, is final

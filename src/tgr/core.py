@@ -11,14 +11,14 @@ snapshot (``static_bridges``), built only by code that reads bridges, in
 time order up to the first disconnected snapshot, so no snapshot pays for
 both.  A forest's one bridge map, ``above``, holds each bridge, as the
 snapshot's own ``TemporalEdge``, by its lower end.  Relabeling an edge
-returns a new graph value that keeps the forest of every snapshot the
-relabel leaves alone.  Validating a sequence instead walks one private,
-mutable working copy (the edge set and each touched snapshot's neighbour
-sets), where a step's bridge test is a local two-ended search and a step
-that passes is an O(1) update.  A plan extends that working copy with a
-private copy of every forest (``_Forest``), kept current per relabel: an
-added edge paints its tree path, and a removed one re-grows the tree of
-its 2-edge-connected component.  The public constructor checks everything;
+returns a new graph value, whose caches start empty.  Validating a
+sequence instead walks one private, mutable working copy (the edge set and
+each touched snapshot's neighbour sets), where a step's bridge test is a
+local two-ended search and a step that passes is an O(1) update.  A plan
+extends that working copy with a private copy of every forest
+(``_Forest``), kept current per relabel: an added edge paints its tree
+path, and a removed one re-grows the tree of its 2-edge-connected
+component.  The public constructor checks everything;
 ``build`` checks what it reads and ``_checked_graph`` takes parts that are
 already checked.
 """
@@ -102,9 +102,7 @@ class TemporalGraph:
                 raise GraphError(f"bad edge endpoints {e!r} for {n} vertices")
             if not 1 <= e.t <= self.lifetime:
                 raise GraphError(f"edge time out of range: {e!r}")
-        # ``static_bridges`` of each snapshot asked for so far.  An entry
-        # depends only on its snapshot's edges, so a relabel's result shares
-        # those of the snapshots it leaves alone.
+        # ``static_bridges`` of each snapshot asked for so far.
         object.__setattr__(self, "_forest_at", {})
 
     @classmethod
@@ -219,11 +217,11 @@ class TemporalGraph:
         return Counter(e[:2] for e in self.edges)
 
 
-def _checked_graph(names, lifetime, edges, forest_at=None) -> TemporalGraph:
+def _checked_graph(names, lifetime, edges) -> TemporalGraph:
     """The graph of parts its caller has checked (``build``, the .tg reader, ``apply_relabel``, ``plan``):
-    ``edges`` a frozenset, ``forest_at`` cached forests that hold."""
+    ``edges`` a frozenset."""
     out = object.__new__(TemporalGraph)
-    out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _forest_at={} if forest_at is None else forest_at)
+    out.__dict__.update(names=names, lifetime=lifetime, edges=edges, _forest_at={})
     return out
 
 
@@ -343,13 +341,14 @@ class _Forest:
     current while edges come and go in that connected snapshot.  ``parent``
     and ``top`` are as in ``StaticBridges`` (``top`` as a union-find whose
     chains may be long), and so is ``above``, each bridge by its lower end;
-    ``bridges``, shared with the caller, gains and loses the same bridges.
+    ``nonbridges``, shared with the caller, loses each bridge ``above``
+    gains and gains each bridge it loses.
     ``depth`` need only grow from parent to child: a climb takes the larger
     label, and the lowest common ancestor's is below both.
     """
 
-    def __init__(self, f: StaticBridges, t: int, bridges: set[TemporalEdge]):
-        self.t, self.bridges = t, bridges
+    def __init__(self, f: StaticBridges, t: int, nonbridges: set[TemporalEdge]):
+        self.t, self.nonbridges = t, nonbridges
         self.parent, self.depth, self.top = list(f.parent), list(f.depth), list(f.top)
         self.above = dict(f.above)
 
@@ -361,7 +360,7 @@ class _Forest:
         while a != b:
             if depth[a] < depth[b]:
                 a, b = b, a
-            self.bridges.remove(above.pop(a))
+            self.nonbridges.add(above.pop(a))
             top[a] = a = _find(top, parent[a])
 
     def remove(self, u: int, v: int, adj: dict[int, set[int]]) -> None:
@@ -403,7 +402,7 @@ class _Forest:
             if top[x] == x:
                 p = parent[x]
                 above[x] = bridge = TemporalEdge(min(x, p), max(x, p), self.t)
-                self.bridges.add(bridge)
+                self.nonbridges.remove(bridge)
         for c in hanging:
             if depth[c] <= depth[parent[c]]:
                 depth[c] = depth[parent[c]] + 1
@@ -488,8 +487,7 @@ def find_bridges(g: TemporalGraph) -> frozenset[TemporalEdge]:
     """All temporal edges whose removal disconnects their snapshot.
 
     Requires an always-connected input.  Each snapshot's forest is built once
-    per graph, the first time it is asked for; a graph made by
-    ``apply_relabel`` rebuilds it only for the two snapshots it touched.
+    per graph, the first time it is asked for.
     """
     return frozenset(b for forest in _snapshot_forests(g).values() for b in forest.above.values())
 
@@ -542,15 +540,11 @@ def apply_relabel(g: TemporalGraph, op: RelabelOp) -> TemporalGraph:
 
     Does not require the relabel to be *valid* (connectivity-preserving);
     it only enforces the slot rule, so callers can explore invalid moves
-    and detect them afterwards.  The result is derived from ``g``: it keeps
-    the cached forest of every snapshot the relabel leaves alone.
+    and detect them afterwards.
     """
     _require_slot(g, op)
     src, tgt = op.source(), op.target()
-    return _checked_graph(
-        g.names, g.lifetime, g.edges - {src} | {tgt},
-        {t: forest for t, forest in g._forest_at.items() if t not in (src.t, tgt.t)},
-    )
+    return _checked_graph(g.names, g.lifetime, g.edges - {src} | {tgt})
 
 
 class _WorkingCopy:

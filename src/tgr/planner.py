@@ -24,9 +24,8 @@ is built but the meeting graph.  The state copies every snapshot's bridge
 forest once, at the start, and keeps the copies current for the sweeps:
 adding an edge costs its painted tree path, and removing one costs the
 edges of its 2-edge-connected component plus any subtree shifted below it.
-From the first later sweep on it also keeps its non-bridges, the sweeps'
-level 0, in sorted order, one ``bisect`` edit per bridge gained or lost
-and per move.
+The forests also keep the state's one set of non-bridges, the sweeps'
+level 0, current.
 
 One wrinkle: an enabling op can be inapplicable on the target side, namely
 when its destination slot is already occupied there (necessarily by an edge
@@ -38,7 +37,6 @@ remaining ops, and the length bound all carry through.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .core import (
@@ -82,33 +80,15 @@ class UnchangeableEdgeError(GraphError):
         self.witness = witness
 
 
-class _Bridges(set):
-    """Side 1's bridge set.  Once ``level0``, the sorted list of side 1's
-    non-bridges, is built, each bridge gained or lost edits it."""
-
-    level0: list[TemporalEdge] | None = None
-
-    def add(self, bridge: TemporalEdge) -> None:
-        set.add(self, bridge)
-        if self.level0 is not None:
-            del self.level0[bisect_left(self.level0, bridge)]
-
-    def remove(self, bridge: TemporalEdge) -> None:
-        set.remove(self, bridge)
-        if self.level0 is not None:
-            insort(self.level0, bridge)
-
-
 class _PlanState(_WorkingCopy):
     """The two sides of a plan while it runs, both starting as copies of
     the endpoints.  Side 1 is a working copy (its edge set and the
-    neighbour sets of each snapshot a move touched) that also keeps its
-    bridge set and ``forests``, a private copy of every snapshot's forest
-    made at the start, which every move keeps current.  Side 2 keeps only
-    its edge set, and ``diff`` the edges only side 1 has.  From the first
-    later sweep on, ``bridges.level0`` also keeps side 1's non-bridges in
-    order.  A level table of the state holds side 1's live edge set, so it
-    is read before the next move.
+    neighbour sets of each snapshot a move touched) that also keeps
+    ``forests``, a private copy of every snapshot's forest made at the
+    start, and ``nonbridges``, its set of non-bridges, both of which every
+    move keeps current.  Side 2 keeps only its edge set, and ``diff`` the
+    edges only side 1 has.  A level table of the state holds side 1's live
+    edge set, so it is read before the next move.
     """
 
     def __init__(self, g1: TemporalGraph, g2: TemporalGraph):
@@ -116,22 +96,19 @@ class _PlanState(_WorkingCopy):
         self.edges2 = set(g2.edges)
         self.diff = self.edges - self.edges2
         forests = _snapshot_forests(g1)
-        self.bridges = _Bridges(b for f in forests.values() for b in f.above.values())
-        self.forests = {t: _Forest(f, t, self.bridges) for t, f in forests.items()}
+        self.nonbridges = self.edges.difference(*(f.above.values() for f in forests.values()))
+        self.forests = {t: _Forest(f, t, self.nonbridges) for t, f in forests.items()}
 
     def table(self) -> ChangeTable:
         """Side 1's level table from a goal-directed sweep: exact below the
         first level that levels some differing edge, and at that level it
         holds the smallest such edge and its chain, all that ``phase``
-        reads.  No sweep runs when some differing edge is a non-bridge.  The
-        first sweep sorts the non-bridges once; moves keep that list.
+        reads.  No sweep runs when some differing edge is a non-bridge.
         Raises if the sweep levels no differing edge."""
-        free = self.diff - self.bridges
+        free = self.diff & self.nonbridges
         if free:
             return ChangeTable(self.edges, dict.fromkeys(free, 0), {}, 0)
-        if self.bridges.level0 is None:
-            self.bridges.level0 = sorted(self.edges - self.bridges)
-        table = _sweep(self.edges, self.forests, self.bridges.level0, self.diff, any)
+        table = _sweep(self.edges, self.forests, self.nonbridges, self.diff, any)
         if table.levels.keys().isdisjoint(self.diff):  # walks the smaller side
             raise GraphError(f"differing edge became unchangeable mid-plan: {min(self.diff)!r}")
         return table
@@ -144,10 +121,8 @@ class _PlanState(_WorkingCopy):
         self.relabel(op)
         self.forests[tgt.t].add(tgt.u, tgt.v)
         self.forests[src.t].remove(src.u, src.v, self._adj(src.t))
-        level0 = self.bridges.level0
-        if level0 is not None:  # src was a non-bridge, or ``remove`` raised
-            del level0[bisect_left(level0, src)]
-            insort(level0, tgt)
+        self.nonbridges.remove(src)
+        self.nonbridges.add(tgt)
         self.diff.discard(src)
         if tgt not in self.edges2:
             self.diff.add(tgt)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -231,6 +232,20 @@ def test_reduce_vc_encodes_colliding_gadget_names(tmp_path, capsys):
     assert main(["validate", "--g1", f"{prefix}.g1.tg", "--g2", f"{prefix}.g2.tg", "--seq", f"{prefix}.tgs"]) == 0
     assert capsys.readouterr() == ("ell 12\nlength 12\nvalid length 12\n", "")
     assert "v x_y%5Fz\n" in (tmp_path / "red.g1.tg").read_text()
+
+
+def test_circ60_reduction_plan_is_pinned(tmp_path, capsys):
+    # a multi-hundred-phase plan of deep enabling chains, byte for byte
+    n = 60
+    edgelist = tmp_path / "circ60.el"
+    edgelist.write_text("".join(f"x{i} x{j}\n" for i in range(n) for j in (i + 1, i + 2) if j < n))
+    prefix = str(tmp_path / "circ60")
+    assert main(["reduce-vc", "--graph", str(edgelist), "--k", "40", "--out-prefix", prefix]) == 0
+    seq_path = tmp_path / "circ60.tgs"
+    assert main(["plan", "--g1", f"{prefix}.g1.tg", "--g2", f"{prefix}.g2.tg", "-o", str(seq_path)]) == 0
+    assert capsys.readouterr() == ("ell 548\nplan length 702 phases 234\n", "")
+    digest = hashlib.sha256(seq_path.read_bytes()).hexdigest()
+    assert digest == "cb509fee45f5b650db9feaa1b0236352afddab4da833b83f20052cda84ad59ab"
 
 
 def test_cover_seq_rejects_non_cover(tmp_path, capsys):

@@ -271,7 +271,8 @@ def _answers(g):
 
 def test_derived_graphs_match_freshly_built_ones():
     # seeded walks of slot-legal relabels, disconnecting ones included, so
-    # that cache entries are carried across disconnected snapshots as well
+    # that derived graphs disconnected at an untouched snapshot are compared
+    # as well
     starts = [helpers.small_instance(seed) for seed in range(40)]
     starts += [generate_random_instance(6, 4, 1, seed) for seed in range(12)]
     derived = disconnected = carried_past_disconnected = 0

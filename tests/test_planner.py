@@ -318,13 +318,11 @@ def test_planning_state_forests_match_fresh_static_bridges():
     for i, (g, steps) in enumerate(relabel_walk_instances()):
         rng = random.Random(i)
         state = planner._PlanState(g, g)
-        state.bridges.level0 = sorted(state.edges - state.bridges)  # as the first later sweep builds it
         for _ in range(steps):
             fresh = [core.static_bridges(g.n, [e for e in state.edges if e.t == t]).above
                      for t in range(1, g.lifetime + 1)]
             bridges = {b for above in fresh for b in above.values()}
-            assert state.bridges == bridges
-            assert state.bridges.level0 == sorted(state.edges - bridges)
+            assert state.nonbridges == state.edges - bridges
             if bridges:
                 b = rng.choice(sorted(bridges))
                 with pytest.raises(GraphError, match="disconnects"):
@@ -504,16 +502,16 @@ def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
     # differing edge is a non-bridge; each phase must still move the target,
     # along the chain, that a full level table of side 1 gives, and every
     # level below the stop level must be that of the full table.  The
-    # sorted non-bridges the state carries must be those of its edge set
+    # non-bridges the state keeps must be those of its edge set
     real_phase, real_table, real_sweep = planner._PlanState.phase, planner._PlanState.table, planner._sweep
     seen = Counter()
 
-    def sweep(edges, forests, level0, until, enough):
+    def sweep(edges, forests, nonbridges, until, enough):
         seen["sweeps"] += until is not None  # a decision or a phase, not the full classify below
-        return real_sweep(edges, forests, level0, until, enough)
+        return real_sweep(edges, forests, nonbridges, until, enough)
 
     def table(state):
-        sweeps, bridged = seen["sweeps"], not state.bridges.isdisjoint(state.diff)
+        sweeps, bridged = seen["sweeps"], not state.diff <= state.nonbridges
         out = real_table(state)
         swept = seen["sweeps"] > sweeps
         seen["stopped with a differing edge unlevelled"] += swept and not out.levels.keys() >= state.diff
@@ -527,9 +525,8 @@ def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
         below = {e for e, k in full.levels.items() if k < table.max_level}
         assert {e: k for e, k in table.levels.items() if k < table.max_level} == {e: full.levels[e] for e in below}
         assert {e: table.back_refs.get(e) for e in below} == {e: full.back_refs.get(e) for e in below}
-        if state.bridges.level0 is not None:
-            assert state.bridges.level0 == sorted(state.edges - state.bridges)
-            seen["level0 carried"] += 1
+        assert state.nonbridges == state.edges - find_bridges(g)
+        seen["non-bridges checked"] += 1
         seen["levels below the stop level"] += len(below)
         ops1, ops2 = real_phase(state, table)
         assert ops1[-1].source() == target and ops1[:-1] == sequence_to_nonbridge(g, full, target), g
@@ -545,7 +542,7 @@ def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
         assert isinstance(plan(red.g1, red.g2), Feasible)
     # sweeping in every phase whose difference holds a bridge takes 136 here
     assert seen["phases"] == 156 and seen["sweeps"] <= 78, seen
-    assert seen["level0 carried"] >= 100 and seen["levels below the stop level"] >= 1000, seen
+    assert seen["non-bridges checked"] >= 100 and seen["levels below the stop level"] >= 1000, seen
     for g1, g2 in differential_pairs():
         plan(g1, g2)
     assert seen["stopped with a differing edge unlevelled"] and seen["no sweep with a differing bridge"], seen
