@@ -8,10 +8,11 @@ helper's pair into the bridge's snapshot closes a cycle through the bridge.
 Edges never reached by this breadth-first sweep can never be relabeled, no
 matter what happens first.  A helper crosses a bridge exactly when the
 bridge lies on the helper's path in the snapshot's cached spanning forest,
-so ``classify`` paints those paths on a copy of the forest's union-find,
-one per snapshot, and claims each bridge once from a copy of the forest's
-bridge map; it runs no traversal of its own and builds no per-edge
-crossing map.  ``_sweep`` is the one way in: ``classify``, which also
+so ``_sweep`` paints those paths, by the rule of ``core._paint``, on a copy
+of the forest's union-find, one per snapshot, and claims each bridge once
+from a copy of the forest's bridge map; it runs no traversal of its own
+and builds no per-edge crossing map.  ``_sweep`` is the one way in, and
+the one place that decides when level 0 suffices: ``classify``, which also
 decides feasibility (``planner``), stops once every edge it is asked about
 has a level.  A plan feeds it the forests and the set of non-bridges it
 keeps current, and wants only the smallest differing edge of the first
@@ -96,11 +97,8 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     left; everything unleveled is unchangeable.
 
     Per snapshot, a copy of the cached ``top`` is a union-find that
-    contracts every edge but the unleveled bridges; each set is named by
-    its shallowest vertex.  Painting a path climbs from the deeper of the
-    two tops, claiming the bridge above it and merging it into its parent's
-    set, until the tops meet, so every bridge is visited once (Gabow &
-    Tarjan 1985).
+    contracts every edge but the unleveled bridges, painted by the rule of
+    ``core._paint``, so every bridge is visited once.
 
     With ``until`` (edges of ``g``), the sweep ends after the first full
     level at which all of them have a level, or at once when all are
@@ -108,19 +106,15 @@ def classify(g: TemporalGraph, *, until: Collection[TemporalEdge] | None = None)
     up to the stop level are then exact: deeper edges, and on the early
     return the other non-bridges, are left out.
     """
-    edges = g.edges
     forests = _snapshot_forests(g)
-    # an edge of g is a bridge iff its snapshot's map holds it at one of its ends
-    if until is not None and all(e in edges and e not in map(forests[e.t].above.get, e.pair) for e in until):
-        return ChangeTable(edges, dict.fromkeys(until, 0), {}, 0 if until else -1)
-    nonbridges = edges.difference(*(f.above.values() for f in forests.values()))
-    return _sweep(edges, forests, nonbridges, until, all)
+    nonbridges = g.edges.difference(*(f.above.values() for f in forests.values()))
+    return _sweep(g.edges, forests, nonbridges, until, all)
 
 
 def _sweep(
     edges: AbstractSet[TemporalEdge],
     forests: Mapping[int, StaticBridges | _Forest],
-    nonbridges: Collection[TemporalEdge],
+    nonbridges: set[TemporalEdge] | frozenset[TemporalEdge],
     until: Collection[TemporalEdge] | None,
     enough: Callable[[Iterable[bool]], bool],
 ) -> ChangeTable:
@@ -131,17 +125,23 @@ def _sweep(
     claims from a copy of its ``above``; ``depth`` need only grow from
     parent to child.
 
-    With ``until`` and ``enough=all``, it stops after the first full level
-    at which every edge of ``until`` has a level.  With ``enough=any``, the
-    sweep is goal-directed: at each level it visits the snapshots in the
-    order of their smallest edge of ``until``, and paints each only until
-    that edge is claimed.  Once some edge of ``until`` is claimed, it visits
+    It first applies the level-0 rule: when ``enough`` of the edges of
+    ``until`` are non-bridges, it returns those alone, at level 0, and
+    paints nothing.  With ``until`` and ``enough=all``, it stops after the
+    first full level at which every edge of ``until`` has a level.  With
+    ``enough=any``, the sweep is goal-directed: at each level it visits the
+    snapshots in the order of their smallest edge of ``until``, and paints
+    each only until that edge is claimed.  Once some edge of ``until`` is claimed, it visits
     a further snapshot only while that snapshot's smallest edge of
     ``until`` is below the smallest one claimed so far, and then stops.  A
     bridge is claimed only by painting in its own snapshot, so the order of
     the snapshots changes no back-reference.  Either way the levels below
     the stop level, and their chains, are exact; at the stop level the
     table holds the smallest levelled edge of ``until`` and its chain."""
+    if until is not None:
+        free = nonbridges.intersection(until)
+        if enough(map(free.__contains__, until)):
+            return ChangeTable(edges, dict.fromkeys(free, 0), {}, 0 if free else -1)
     painters = {t: (list(f.top), f.parent, f.depth, dict(f.above)) for t, f in forests.items() if f.above}
     goals: dict[int, list[TemporalEdge]] = {}  # goal-directed: each snapshot's edges of until, in order
     for e in sorted(until) if enough is any else ():
@@ -173,6 +173,8 @@ def _sweep(
                     b = _find(top, b)
                 if a == b or (u, v, t) in edges:
                     continue
+                # ``core._paint``'s climb, inline: a call and a list per claiming
+                # helper made a Vertex-Cover reduction's plan about 5% slower
                 while a != b:  # a is the deeper top: claim the bridge above it
                     if depth[a] < depth[b]:
                         a, b = b, a

@@ -9,8 +9,9 @@ connected (``_disconnected_at``, one union-find pass per snapshot, or the
 snapshot's forest when one is cached); and one painted spanning forest per
 snapshot (``static_bridges``), built only by code that reads bridges, in
 time order up to the first disconnected snapshot, so no snapshot pays for
-both.  A forest's one bridge map, ``above``, holds each bridge, as the
-snapshot's own ``TemporalEdge``, by its lower end.  Relabeling an edge
+both.  Every forest paints tree paths with one rule, ``_paint``.  A
+forest's one bridge map, ``above``, holds each bridge, as the snapshot's
+own ``TemporalEdge``, by its lower end.  Relabeling an edge
 returns a new graph value, whose caches start empty.  Validating a
 sequence instead walks one private, mutable working copy (the edge set and
 each touched snapshot's neighbour sets), where a step's bridge test is a
@@ -18,9 +19,9 @@ local two-ended search and a step that passes is an O(1) update.  A plan
 extends that working copy with a private copy of every forest
 (``_Forest``), kept current per relabel: an added edge paints its tree
 path, and a removed one re-grows the tree of its 2-edge-connected
-component.  The public constructor checks everything;
-``build`` checks what it reads and ``_checked_graph`` takes parts that are
-already checked.
+component; each returns the bridges it flipped.  The public constructor
+checks everything; ``build`` checks what it reads and ``_checked_graph``
+takes parts that are already checked.
 """
 
 from __future__ import annotations
@@ -237,8 +238,7 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# Static-graph helpers shared by the temporal operations (and by the oracle,
-# which works on raw edge sets rather than TemporalGraph values).
+# Static-graph helpers shared by the temporal operations.
 
 class StaticBridges(NamedTuple):
     """A breadth-first spanning forest of a static graph, roots taken in
@@ -265,6 +265,29 @@ def _find(top: list[int], x: int) -> int:
     return x
 
 
+def _paint(top: list[int], parent: list[int], depth: list[int], u: int, v: int) -> list[int]:
+    """Paint the tree path from u to v in the union-find ``top`` of a
+    forest, whose sets are named by their shallowest vertex: climb from the
+    deeper name, merging it into its parent's set, until the names meet
+    (Gabow & Tarjan 1985).  Returns the names merged, the lower ends of the
+    newly painted tree edges.  ``depth`` need only grow from parent to
+    child.  The root finds are inline: ``_find`` calls slow the planner."""
+    while top[u] != u:
+        top[u] = u = top[top[u]]
+    while top[v] != v:
+        top[v] = v = top[top[v]]
+    merged = []
+    while u != v:
+        if depth[u] < depth[v]:
+            u, v = v, u
+        merged.append(u)
+        p = parent[u]
+        while top[p] != p:
+            top[p] = p = top[top[p]]
+        top[u] = u = p
+    return merged
+
+
 def _connected(n: int, edges: Sequence[Sequence[int]]) -> bool:
     """Whether the static graph on vertices 0..n-1 with ``edges`` (each
     edge's first two fields are its ends) is connected: one union-find
@@ -289,9 +312,9 @@ def _connected(n: int, edges: Sequence[Sequence[int]]) -> bool:
 
 def static_bridges(n: int, edges: Sequence[Sequence[int]]) -> StaticBridges:
     """Bridges of a static simple graph and their sides: one breadth-first
-    forest, then the tree path of each non-tree edge painted with a
-    union-find (Westbrook & Tarjan 1992); the tree edges left unpainted are
-    the bridges.  Each edge's first two fields are its ends; the bridges
+    forest, then the tree path of each non-tree edge painted (``_paint``;
+    Westbrook & Tarjan 1992); the tree edges left unpainted are the
+    bridges.  Each edge's first two fields are its ends; the bridges
     are the edges as given."""
     adj: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
@@ -321,15 +344,8 @@ def static_bridges(n: int, edges: Sequence[Sequence[int]]) -> StaticBridges:
             tree_edge[v] = e
         elif parent[u] == v:
             tree_edge[u] = e
-        else:  # paint the tree path of a non-tree edge
-            u, v = _find(top, u), _find(top, v)
-            while u != v:  # climb from the deeper top, merging it into its parent's set
-                if depth[u] < depth[v]:
-                    u, v = v, u
-                p = parent[u]
-                while top[p] != p:
-                    top[p] = p = top[top[p]]
-                top[u] = u = p
+        else:
+            _paint(top, parent, depth, u, v)
     for x in order:
         top[x] = top[top[x]]
     above = {x: tree_edge[x] for x in order if top[x] == x and parent[x] >= 0}  # unpainted tree edges
@@ -337,44 +353,36 @@ def static_bridges(n: int, edges: Sequence[Sequence[int]]) -> StaticBridges:
 
 
 class _Forest:
-    """A private copy ``f`` of the forest of snapshot ``t`` of a graph, kept
-    current while edges come and go in that connected snapshot.  ``parent``
-    and ``top`` are as in ``StaticBridges`` (``top`` as a union-find whose
-    chains may be long), and so is ``above``, each bridge by its lower end;
-    ``nonbridges``, shared with the caller, loses each bridge ``above``
-    gains and gains each bridge it loses.
+    """A private copy ``f`` of the forest of one connected snapshot, kept
+    current while edges come and go in it.  ``parent``, ``top`` and
+    ``above`` are as in ``StaticBridges`` (``top`` as a union-find whose
+    chains may be long); each change returns the bridges it flipped.
     ``depth`` need only grow from parent to child: a climb takes the larger
     label, and the lowest common ancestor's is below both.
     """
 
-    def __init__(self, f: StaticBridges, t: int, nonbridges: set[TemporalEdge]):
-        self.t, self.nonbridges = t, nonbridges
+    def __init__(self, f: StaticBridges):
         self.parent, self.depth, self.top = list(f.parent), list(f.depth), list(f.top)
         self.above = dict(f.above)
 
-    def add(self, u: int, v: int) -> None:
-        """A new edge {u, v}: paint its tree path, so that each bridge on it
-        becomes a non-bridge.  Costs the path."""
-        parent, depth, top, above = self.parent, self.depth, self.top, self.above
-        a, b = _find(top, u), _find(top, v)
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            self.nonbridges.add(above.pop(a))
-            top[a] = a = _find(top, parent[a])
+    def add(self, u: int, v: int) -> list[TemporalEdge]:
+        """A new edge {u, v}: paint its tree path.  Returns the bridges on
+        it, which are non-bridges now.  Costs the path."""
+        return [self.above.pop(c) for c in _paint(self.top, self.parent, self.depth, u, v)]
 
-    def remove(self, u: int, v: int, adj: dict[int, set[int]]) -> None:
-        """The edge {u, v} is gone from the snapshot, whose neighbour sets
-        ``adj`` are.  Raises, changing nothing, unless u and v share a
+    def remove(self, edge: TemporalEdge, adj: dict[int, set[int]]) -> list[TemporalEdge]:
+        """``edge`` is gone from its snapshot, whose neighbour sets ``adj``
+        are.  Raises, changing nothing, unless its ends share a
         2-edge-connected component C.  Otherwise re-grows a breadth-first
         tree of C from its shallowest vertex r, painting each non-tree edge
         of C as it is found, and shifts a subtree hanging below C only where
-        its attach vertex's new label reaches it.  Costs C's edges plus the
-        shifted vertices."""
+        its attach vertex's new label reaches it.  Returns the new bridges.
+        Costs C's edges plus the shifted vertices."""
         parent, depth, top, above = self.parent, self.depth, self.top, self.above
+        u, v, t = edge
         r = _find(top, u)
         if r != _find(top, v):
-            raise GraphError(f"removing the bridge {(u, v)} disconnects snapshot {self.t}")
+            raise GraphError(f"removing the bridge {(u, v)} disconnects snapshot {t}")
         up = parent[r]  # across the bridge above C: only r reaches it
         position = {r: 0}
         comp, hanging = [r], []
@@ -391,18 +399,15 @@ class _Forest:
                     position[y] = len(comp)
                     comp.append(y)
                     parent[y], depth[y], top[y] = x, d, y
-                elif j < i and y != parent[x]:  # a non-tree edge, met from its later end: paint it
-                    a, b = _find(top, x), _find(top, y)
-                    while a != b:
-                        if depth[a] < depth[b]:
-                            a, b = b, a
-                        top[a] = a = _find(top, parent[a])
+                elif j < i and y != parent[x]:  # a non-tree edge, met from its later end
+                    _paint(top, parent, depth, x, y)
+        bridges = []
         for x in comp[1:]:  # parents come first; the tops left are new bridges' lower ends
             top[x] = top[top[x]]
             if top[x] == x:
                 p = parent[x]
-                above[x] = bridge = TemporalEdge(min(x, p), max(x, p), self.t)
-                self.nonbridges.remove(bridge)
+                above[x] = bridge = TemporalEdge(min(x, p), max(x, p), t)
+                bridges.append(bridge)
         for c in hanging:
             if depth[c] <= depth[parent[c]]:
                 depth[c] = depth[parent[c]] + 1
@@ -413,6 +418,7 @@ class _Forest:
                         if parent[y] == x and depth[y] < d:
                             depth[y] = d
                             shifted.append(y)
+        return bridges
 
 
 def _adjacency(edges: Iterable[Sequence[int]]) -> dict[int, set[int]]:

@@ -12,11 +12,11 @@ reversible, so graphs that reach each other reach the same graphs, and
 whether a slot can carry a non-bridge is fixed among them.  The decision
 thus shows every differing edge changeable for the whole plan (the
 difference only shrinks), so a later phase needs only the smallest
-differing edge of the first level that levels one, and its chain.  It
-sweeps not at all when a differing edge is a non-bridge, and otherwise
-goal-directed: the levels below that stop level in full, and the stop
-level snapshot by snapshot, smallest differing edge first, each only
-until that edge is claimed (``changeability._sweep``).
+differing edge of the first level that levels one, and its chain.  The
+sweep (``changeability._sweep``) paints nothing when a differing edge is
+a non-bridge, and otherwise the levels below that stop level in full, and
+the stop level snapshot by snapshot, smallest differing edge first, each
+only until that edge is claimed.
 
 Both sides live in one private planning state, built only to plan two
 graphs that differ and updated in place by every relabel; no graph value
@@ -24,8 +24,8 @@ is built but the meeting graph.  The state copies every snapshot's bridge
 forest once, at the start, and keeps the copies current for the sweeps:
 adding an edge costs its painted tree path, and removing one costs the
 edges of its 2-edge-connected component plus any subtree shifted below it.
-The forests also keep the state's one set of non-bridges, the sweeps'
-level 0, current.
+Each returns the bridges it flipped, from which the state keeps its one
+set of non-bridges, the sweeps' level 0, current.
 
 One wrinkle: an enabling op can be inapplicable on the target side, namely
 when its destination slot is already occupied there (necessarily by an edge
@@ -85,10 +85,10 @@ class _PlanState(_WorkingCopy):
     the endpoints.  Side 1 is a working copy (its edge set and the
     neighbour sets of each snapshot a move touched) that also keeps
     ``forests``, a private copy of every snapshot's forest made at the
-    start, and ``nonbridges``, its set of non-bridges, both of which every
-    move keeps current.  Side 2 keeps only its edge set, and ``diff`` the
-    edges only side 1 has.  A level table of the state holds side 1's live
-    edge set, so it is read before the next move.
+    start, and ``nonbridges``, its set of non-bridges, both of which
+    ``move`` alone keeps current.  Side 2 keeps only its edge set, and
+    ``diff`` the edges only side 1 has.  A level table of the state holds
+    side 1's live edge set, so it is read before the next move.
     """
 
     def __init__(self, g1: TemporalGraph, g2: TemporalGraph):
@@ -97,30 +97,29 @@ class _PlanState(_WorkingCopy):
         self.diff = self.edges - self.edges2
         forests = _snapshot_forests(g1)
         self.nonbridges = self.edges.difference(*(f.above.values() for f in forests.values()))
-        self.forests = {t: _Forest(f, t, self.nonbridges) for t, f in forests.items()}
+        self.forests = {t: _Forest(f) for t, f in forests.items()}
 
     def table(self) -> ChangeTable:
         """Side 1's level table from a goal-directed sweep: exact below the
         first level that levels some differing edge, and at that level it
         holds the smallest such edge and its chain, all that ``phase``
-        reads.  No sweep runs when some differing edge is a non-bridge.
-        Raises if the sweep levels no differing edge."""
-        free = self.diff & self.nonbridges
-        if free:
-            return ChangeTable(self.edges, dict.fromkeys(free, 0), {}, 0)
+        reads; the sweep's level-0 rule paints nothing when some differing
+        edge is a non-bridge.  Raises if it levels no differing edge."""
         table = _sweep(self.edges, self.forests, self.nonbridges, self.diff, any)
         if table.levels.keys().isdisjoint(self.diff):  # walks the smaller side
             raise GraphError(f"differing edge became unchangeable mid-plan: {min(self.diff)!r}")
         return table
 
     def move(self, op: RelabelOp) -> None:
-        """Apply ``op`` to side 1; raises if it breaks the slot rule or
-        moves a bridge."""
+        """Apply ``op`` to side 1, and to ``nonbridges`` the bridges that
+        its two forests flip; raises if it breaks the slot rule or moves a
+        bridge."""
         _require_slot(self, op)
         src, tgt = op.source(), op.target()
         self.relabel(op)
-        self.forests[tgt.t].add(tgt.u, tgt.v)
-        self.forests[src.t].remove(src.u, src.v, self._adj(src.t))
+        self.nonbridges.update(self.forests[tgt.t].add(tgt.u, tgt.v))
+        for bridge in self.forests[src.t].remove(src, self._adj(src.t)):
+            self.nonbridges.remove(bridge)
         self.nonbridges.remove(src)
         self.nonbridges.add(tgt)
         self.diff.discard(src)

@@ -6,9 +6,9 @@ rest.  An edge whose endpoints land on opposite sides is a *crossing* edge:
 the bridge lies on the tree path between its endpoints.  In that forest
 each vertex's ``top`` names its 2-edge-connected component, so a tree path
 crosses a bridge each time it climbs from a top to its parent, and the
-forest's ``above`` names that bridge; ``changeability.classify`` paints
-those paths, and ``_crossings`` climbs them to list the relation for
-``tgr classify --dump-cross``.
+forest's ``above`` names that bridge; ``changeability._sweep`` paints
+those paths by the rule of ``core._paint``, and ``_crossings`` climbs them
+to list the relation for ``tgr classify --dump-cross``.
 """
 
 from __future__ import annotations

@@ -234,18 +234,37 @@ def test_reduce_vc_encodes_colliding_gadget_names(tmp_path, capsys):
     assert "v x_y%5Fz\n" in (tmp_path / "red.g1.tg").read_text()
 
 
-def test_circ60_reduction_plan_is_pinned(tmp_path, capsys):
-    # a multi-hundred-phase plan of deep enabling chains, byte for byte
+def circ60_reduction(tmp_path, capsys) -> str:
+    """The Vertex-Cover reduction of the circulant x_i ~ x_{i+1}, x_{i+2}
+    on 60 vertices with k = 40; returns its file prefix."""
     n = 60
     edgelist = tmp_path / "circ60.el"
     edgelist.write_text("".join(f"x{i} x{j}\n" for i in range(n) for j in (i + 1, i + 2) if j < n))
     prefix = str(tmp_path / "circ60")
     assert main(["reduce-vc", "--graph", str(edgelist), "--k", "40", "--out-prefix", prefix]) == 0
+    assert capsys.readouterr() == ("ell 548\n", "")
+    return prefix
+
+
+def test_circ60_reduction_plan_is_pinned(tmp_path, capsys):
+    # a multi-hundred-phase plan of deep enabling chains, byte for byte
+    prefix = circ60_reduction(tmp_path, capsys)
     seq_path = tmp_path / "circ60.tgs"
     assert main(["plan", "--g1", f"{prefix}.g1.tg", "--g2", f"{prefix}.g2.tg", "-o", str(seq_path)]) == 0
-    assert capsys.readouterr() == ("ell 548\nplan length 702 phases 234\n", "")
+    assert capsys.readouterr() == ("plan length 702 phases 234\n", "")
     digest = hashlib.sha256(seq_path.read_bytes()).hexdigest()
     assert digest == "cb509fee45f5b650db9feaa1b0236352afddab4da833b83f20052cda84ad59ab"
+
+
+def test_circ60_reduction_crossing_dump_is_pinned(tmp_path, capsys):
+    # every bridge of every snapshot with its side sizes and crossing edges,
+    # read off forests whose bridges the path painter found, byte for byte
+    prefix = circ60_reduction(tmp_path, capsys)
+    assert main(["classify", "--g", f"{prefix}.g1.tg", "--dump-cross"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "fe8dc0727baa2b3e97053d9764f9276aa2995fdb2ca49c75a0ba8003980b6753"
 
 
 def test_cover_seq_rejects_non_cover(tmp_path, capsys):

@@ -313,20 +313,38 @@ def relabel_walk_instances():
     return out
 
 
-def test_planning_state_forests_match_fresh_static_bridges():
+def test_planning_state_forests_match_fresh_static_bridges(monkeypatch):
+    # each forest change returns the bridges it flipped, which the state's
+    # non-bridges follow: ``add`` those the target snapshot lost, ``remove``
+    # those the source snapshot gained
+    returned = {}
+
+    def recording(name):
+        real = getattr(core._Forest, name)
+
+        def method(forest, *args):
+            returned[name] = out = real(forest, *args)
+            return out
+        return method
+
+    for name in ("add", "remove"):
+        monkeypatch.setattr(core._Forest, name, recording(name))
+
+    def fresh_bridges(state, t):
+        return set(core.static_bridges(state.n, [e for e in state.edges if e.t == t]).above.values())
+
     seen = Counter()
     for i, (g, steps) in enumerate(relabel_walk_instances()):
         rng = random.Random(i)
         state = planner._PlanState(g, g)
         for _ in range(steps):
-            fresh = [core.static_bridges(g.n, [e for e in state.edges if e.t == t]).above
-                     for t in range(1, g.lifetime + 1)]
-            bridges = {b for above in fresh for b in above.values()}
+            fresh = {t: fresh_bridges(state, t) for t in range(1, g.lifetime + 1)}
+            bridges = set().union(*fresh.values())
             assert state.nonbridges == state.edges - bridges
             if bridges:
                 b = rng.choice(sorted(bridges))
                 with pytest.raises(GraphError, match="disconnects"):
-                    state.forests[b.t].remove(b.u, b.v, state._adj(b.t))
+                    state.forests[b.t].remove(b, state._adj(b.t))
                 assert forest_faults(state, b.t) == [], (i, b)
             moves = [
                 RelabelOp(e.u, e.v, e.t, t)
@@ -341,13 +359,21 @@ def test_planning_state_forests_match_fresh_static_bridges():
             component = {x for x in range(g.n) if core._find(f.top, x) == r}
             before = list(f.depth)
             seen["tree" if o.u == f.parent[o.v] or o.v == f.parent[o.u] else "non-tree"] += 1
+            returned.clear()
             state.move(o)
             for t in (o.from_time, o.to_time):
                 assert forest_faults(state, t) == [], (i, o, t)
+            lost = fresh[o.to_time] - fresh_bridges(state, o.to_time)
+            gained = fresh_bridges(state, o.from_time) - fresh[o.from_time]
+            assert sorted(returned["add"]) == sorted(lost), (i, o)
+            assert sorted(returned["remove"]) == sorted(gained), (i, o)
+            seen["lost"] += len(lost)
+            seen["gained"] += len(gained)
             seen["moves"] += 1
             seen["large"] += len(component) >= 20
             seen["shift"] += any(f.depth[x] != before[x] for x in range(g.n) if x not in component)
     assert seen["tree"] and seen["non-tree"] and seen["large"] and seen["shift"], seen
+    assert seen["lost"] >= 1000 and seen["gained"] >= 1000, seen
 
 
 def test_plan_leaves_the_cached_forests_of_its_input_alone():
@@ -498,16 +524,18 @@ def test_plan_raises_when_a_later_phase_finds_an_unchangeable_differing_edge(mon
 
 def test_each_phase_picks_the_target_and_chain_of_a_full_classify(monkeypatch):
     # a plan's later sweeps stop at the first level that levels a differing
-    # edge, painting it only as far as the target, and none runs while a
-    # differing edge is a non-bridge; each phase must still move the target,
-    # along the chain, that a full level table of side 1 gives, and every
-    # level below the stop level must be that of the full table.  The
-    # non-bridges the state keeps must be those of its edge set
+    # edge, painting it only as far as the target, and none gets past the
+    # level-0 rule while a differing edge is a non-bridge; each phase must
+    # still move the target, along the chain, that a full level table of
+    # side 1 gives, and every level below the stop level must be that of
+    # the full table.  The non-bridges the state keeps must be those of its
+    # edge set
     real_phase, real_table, real_sweep = planner._PlanState.phase, planner._PlanState.table, planner._sweep
     seen = Counter()
 
     def sweep(edges, forests, nonbridges, until, enough):
-        seen["sweeps"] += until is not None  # a decision or a phase, not the full classify below
+        # a decision or a phase, not the full classify below, past the level-0 rule
+        seen["sweeps"] += until is not None and not enough(e in nonbridges for e in until)
         return real_sweep(edges, forests, nonbridges, until, enough)
 
     def table(state):
